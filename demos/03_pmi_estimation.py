@@ -9,7 +9,7 @@ count toward neither the joint nor the marginal frequencies.
 
 import io
 
-from cogclust import Scorer, estimate_pmi, load_pmi, nw_score, save_pmi
+from cogclust import estimate_pmi, load_pmi, nw_score, save_pmi
 
 # A toy corpus of aligned cognate pairs with a planted p ~ b correspondence.
 aligned = [
@@ -21,11 +21,12 @@ aligned = [
     ("mus-", "musi"),
 ]
 
+# The estimate is a Scorer: the segment-pair table plus default gap costs.
 matrix = estimate_pmi(aligned, smoothing=0.1, alphabet=tuple("pbatoliksmu3"))
 
 print("selected segment-pair scores:")
 for pair in [("p", "b"), ("p", "p"), ("a", "a"), ("p", "k"), ("a", "u")]:
-    print(f"  {pair[0]} ~ {pair[1]}: {matrix.score(*pair):+.3f}")
+    print(f"  {pair[0]} ~ {pair[1]}: {matrix.substitution(*pair):+.3f}")
 
 # The matrix round-trips through its file format at full precision.
 buffer = io.StringIO()
@@ -34,8 +35,8 @@ again = load_pmi(io.StringIO(buffer.getvalue()))
 print("\nround-trip equal:", again == matrix)
 print("file starts with:", buffer.getvalue().splitlines()[0])
 
-# Estimated scores drive the aligner directly: p~b now outscores p~k.
-scorer = Scorer.from_pmi(matrix)
+# The estimate drives the aligner directly (Scorer.from_pmi(matrix, gaps)
+# would give it other gap costs): p~b now outscores p~k.
 print("\nalignment under the estimated matrix:")
-print("  pat ~ bat:", round(nw_score("pat", "bat", scorer), 3))
-print("  pat ~ kat:", round(nw_score("pat", "kat", scorer), 3))
+print("  pat ~ bat:", round(nw_score("pat", "bat", matrix), 3))
+print("  pat ~ kat:", round(nw_score("pat", "kat", matrix), 3))

@@ -44,8 +44,8 @@ from .pipeline import (
     similarity_tables,
     write_partitions,
 )
-from .pmi import PmiMatrix, estimate_pmi, load_pmi, save_pmi
-from .wordlist import WordForm, WordList, forms_for_meaning, parse_wordlist, write_wordlist
+from .pmi import estimate_pmi, load_pmi, save_pmi
+from .wordlist import WordForm, WordList, parse_wordlist, write_wordlist
 
 __all__ = [
     "ASJP_SOUNDS",
@@ -62,7 +62,6 @@ __all__ = [
     "MeaningNotFoundError",
     "ParseError",
     "Partition",
-    "PmiMatrix",
     "Scorer",
     "SimilarityMatrix",
     "ValidationError",
@@ -76,7 +75,6 @@ __all__ = [
     "estimate_pmi",
     "evaluate_dataset",
     "flat_cluster_threshold",
-    "forms_for_meaning",
     "gold_partitions",
     "gold_partitions_from",
     "load_pmi",

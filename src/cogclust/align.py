@@ -2,11 +2,12 @@
 
 Scores follow the three-state (substitution / gap-in-first / gap-in-second)
 dynamic program: the first symbol of a contiguous gap run costs ``gap_open``
-and every further symbol of the same run costs ``gap_extend``. Substitutions
-are priced either by a match/mismatch pair ("vanilla") or by a segment-pair
-score table ("pmi"). ``nw_score`` is a pure function; per-meaning similarity
-matrices are symmetric, non-negative (clamped at zero) and bitwise
-deterministic for fixed inputs.
+and every further symbol of the same run costs ``gap_extend``. A ``Scorer``
+holds the segment-pair substitution table and the gap costs; the table is
+either an identity table ("vanilla") or estimated PMI scores ("pmi").
+``nw_score`` is a pure function; per-meaning similarity matrices are
+symmetric, non-negative (clamped at zero) and bitwise deterministic for fixed
+inputs.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ import numpy as np
 
 from .alphabet import ASJP_SOUNDS
 from .errors import DegenerateInputError, ValidationError
-from .pmi import PmiMatrix
 from .wordlist import WordForm
 
 _NEG_INF = float("-inf")
@@ -39,38 +39,63 @@ class GapParams:
 
 
 class Scorer:
-    """Substitution scores plus gap parameters for word alignment.
+    """A segment-pair substitution table over an alphabet, plus gap costs.
 
-    Build one with :meth:`vanilla` (match/mismatch by segment identity) or
-    :meth:`from_pmi` (segment-pair score table). Both variants are scoped to
-    an alphabet; aligning a word with a symbol outside it is an error.
+    ``scores[i, j]`` is the score of aligning the i-th alphabet symbol with
+    the j-th. The table is square, symmetric and free of NaN and ``+inf``;
+    ``-inf`` marks a pair never observed by an unsmoothed PMI estimate, and
+    ``has_unobserved_pairs`` flags it. Build an identity table with
+    :meth:`vanilla`, load or estimate a PMI table with ``pmi.load_pmi`` or
+    ``pmi.estimate_pmi``, and give a table other gaps with :meth:`from_pmi`.
+    Aligning a word with a symbol outside the alphabet is an error. Instances
+    are immutable and safe for shared concurrent reads.
     """
 
-    def __init__(self, variant, alphabet, sub_rows, gaps):
-        self.variant = variant
+    def __init__(self, alphabet: Sequence[str], scores, gaps: GapParams | None = None):
         self.alphabet = tuple(alphabet)
-        self.gaps = gaps
-        self._sub_rows = sub_rows
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValidationError("alphabet contains duplicate symbols")
+        arr = np.array(scores, dtype=float)
+        n = len(self.alphabet)
+        if arr.shape != (n, n):
+            raise ValidationError(
+                f"score table shape {arr.shape} does not match alphabet size {n}"
+            )
+        if np.isnan(arr).any():
+            raise ValidationError("score table contains NaN")
+        if np.isposinf(arr).any():
+            raise ValidationError("score table contains +inf")
+        if not np.array_equal(arr, arr.T):
+            raise ValidationError("score table is not symmetric")
+        arr.setflags(write=False)
+        self.scores = arr
+        self.gaps = gaps or GapParams()
         self._index = {s: i for i, s in enumerate(self.alphabet)}
+        # The pure-Python kernel indexes nested lists much faster than ndarrays.
+        self._rows = arr.tolist()
 
     @classmethod
     def vanilla(cls, match: float = 1.0, mismatch: float = -1.0,
                 gaps: GapParams | None = None,
                 alphabet: Sequence[str] = ASJP_SOUNDS) -> "Scorer":
+        """Identity table: ``match`` on the diagonal, ``mismatch`` elsewhere."""
         if not match > mismatch:
             raise ValidationError("match score must exceed mismatch score")
-        symbols = tuple(alphabet)
-        n = len(symbols)
-        rows = [[match if i == j else mismatch for j in range(n)] for i in range(n)]
-        return cls("vanilla", symbols, rows, gaps or GapParams())
+        n = len(alphabet)
+        return cls(alphabet, np.where(np.eye(n, dtype=bool), match, mismatch), gaps)
 
     @classmethod
-    def from_pmi(cls, matrix: PmiMatrix, gaps: GapParams | None = None) -> "Scorer":
-        return cls("pmi", matrix.alphabet, matrix.scores.tolist(), gaps or GapParams())
+    def from_pmi(cls, table: "Scorer", gaps: GapParams | None = None) -> "Scorer":
+        """The same substitution table with other gap costs (default gaps if None)."""
+        return cls(table.alphabet, table.scores, gaps)
 
     def substitution(self, x: str, y: str) -> float:
         """Score of aligning segment x with segment y."""
-        return self._sub_rows[self._code(x)][self._code(y)]
+        return self._rows[self._code(x)][self._code(y)]
+
+    @property
+    def has_unobserved_pairs(self) -> bool:
+        return bool(np.isneginf(self.scores).any())
 
     def _code(self, symbol: str) -> int:
         try:
@@ -83,8 +108,17 @@ class Scorer:
     def _encode(self, word: Sequence[str]) -> list[int]:
         return [self._code(ch) for ch in word]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Scorer):
+            return NotImplemented
+        return (
+            self.alphabet == other.alphabet
+            and np.array_equal(self.scores, other.scores)
+            and self.gaps == other.gaps
+        )
+
     def __repr__(self) -> str:
-        return f"Scorer({self.variant}, {len(self.alphabet)} symbols, {self.gaps})"
+        return f"Scorer({len(self.alphabet)} symbols, {self.gaps})"
 
 
 def _gotoh(codes_a, codes_b, sub_rows, gap_open, gap_extend):
@@ -144,7 +178,7 @@ def nw_score(a: Sequence[str], b: Sequence[str], scorer: Scorer) -> float:
     return _gotoh(
         scorer._encode(a),
         scorer._encode(b),
-        scorer._sub_rows,
+        scorer._rows,
         scorer.gaps.gap_open,
         scorer.gaps.gap_extend,
     )
@@ -166,7 +200,7 @@ class SimilarityMatrix:
         return len(self.forms)
 
     def words(self) -> tuple[str, ...]:
-        return tuple(f.segments if isinstance(f, WordForm) else f for f in self.forms)
+        return tuple(f.segments for f in self.forms)
 
     def to_tsv(self, sink: IO) -> None:
         """Debug dump with word transcriptions as row and column headers."""
@@ -178,7 +212,7 @@ class SimilarityMatrix:
 
 
 def similarity_matrix(
-    forms: Sequence[WordForm | str],
+    forms: Sequence[WordForm],
     scorer: Scorer,
     *,
     normalize: bool = False,
@@ -191,12 +225,12 @@ def similarity_matrix(
     """
     if len(forms) == 0:
         raise DegenerateInputError("no word forms to compare")
-    meanings = {f.meaning for f in forms if isinstance(f, WordForm)}
+    meanings = {f.meaning for f in forms}
     if len(meanings) > 1:
         raise ValidationError(f"forms span several meanings: {sorted(meanings)}")
-    words = [f.segments if isinstance(f, WordForm) else f for f in forms]
+    words = [f.segments for f in forms]
     codes = [scorer._encode(w) for w in words]
-    rows = scorer._sub_rows
+    rows = scorer._rows
     gap_open, gap_extend = scorer.gaps.gap_open, scorer.gaps.gap_extend
 
     n = len(words)

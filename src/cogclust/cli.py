@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import urllib.parse
-from dataclasses import dataclass
 
 from . import __version__
 from .align import GapParams, Scorer
@@ -35,50 +34,32 @@ from .pipeline import (
     similarity_tables,
     write_partitions,
 )
-from .pmi import estimate_pmi, load_pmi, save_pmi
+from .pmi import DEFAULT_SMOOTHING, estimate_pmi, load_pmi, save_pmi
+from .textio import open_sink, read_text
 from .wordlist import parse_wordlist
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: str
-    out: str | None = None
-    scorer: str = "vanilla"
-    pmi_matrix: str | None = None
-    gap_open: float = -1.0
-    gap_extend: float = -0.5
-    alpha: float = 0.01
-    max_scans: int = 3
-    linkage: str = "average"
-    normalize: bool = False
-    shuffle_seed: int | None = None
-    threshold: float | None = None
-    gold: str | None = None
-    jobs: int | None = None
-    percent: bool = False
-    smoothing: float = 0.1
-
-
 def _add_scorer_args(sub):
+    gaps = GapParams()
     sub.add_argument("--scorer", choices=("vanilla", "pmi"), default="vanilla",
                      help="substitution scoring: segment identity or a PMI matrix")
     sub.add_argument("--pmi-matrix", metavar="PATH",
                      help="PMI matrix file (required with --scorer pmi)")
-    sub.add_argument("--gap-open", type=float, default=-1.0, metavar="F",
-                     help="gap opening penalty (default -1)")
-    sub.add_argument("--gap-extend", type=float, default=-0.5, metavar="F",
-                     help="gap extension penalty (default -0.5)")
+    sub.add_argument("--gap-open", type=float, default=gaps.gap_open, metavar="F",
+                     help="gap opening penalty (default %(default)s)")
+    sub.add_argument("--gap-extend", type=float, default=gaps.gap_extend, metavar="F",
+                     help="gap extension penalty (default %(default)s)")
     sub.add_argument("--normalize", action="store_true",
                      help="divide raw scores by mean self-similarity before clamping")
 
 
 def _add_cluster_args(sub):
-    sub.add_argument("--alpha", type=float, default=0.01, metavar="F",
-                     help="new-cluster threshold (default 0.01)")
-    sub.add_argument("--max-scans", type=int, default=3, metavar="N",
-                     help="maximum full scans (default 3)")
-    sub.add_argument("--linkage", choices=("average", "single"), default="average")
+    config = CrpConfig()
+    sub.add_argument("--alpha", type=float, default=config.alpha, metavar="F",
+                     help="new-cluster threshold (default %(default)s)")
+    sub.add_argument("--max-scans", type=int, default=config.max_scans, metavar="N",
+                     help="maximum full scans (default %(default)s)")
+    sub.add_argument("--linkage", choices=("average", "single"), default=config.linkage)
     sub.add_argument("--shuffle-seed", type=int, default=None, metavar="N",
                      help="seeded random scan order instead of file order")
     sub.add_argument("--threshold", type=float, default=None, metavar="F",
@@ -131,101 +112,81 @@ def build_parser() -> argparse.ArgumentParser:
     pmi_est.add_argument("--input", required=True, metavar="PATH",
                          help="TSV of aligned pairs: two equal-length columns "
                               "of segments with '-' for gaps")
-    pmi_est.add_argument("--smoothing", type=float, default=0.1, metavar="F")
+    pmi_est.add_argument("--smoothing", type=float, default=DEFAULT_SMOOTHING, metavar="F")
     pmi_est.add_argument("--out", metavar="PATH", help="matrix file (default: stdout)")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**values)
-
-
-def _build_scorer(config: RunConfig, parser: argparse.ArgumentParser) -> Scorer:
-    gaps = GapParams(config.gap_open, config.gap_extend)
-    if config.scorer == "pmi":
-        if not config.pmi_matrix:
+def _build_scorer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Scorer:
+    gaps = GapParams(args.gap_open, args.gap_extend)
+    if args.scorer == "pmi":
+        if not args.pmi_matrix:
             parser.error("--scorer pmi requires --pmi-matrix")
-        return Scorer.from_pmi(load_pmi(config.pmi_matrix), gaps)
-    if config.pmi_matrix:
+        return Scorer.from_pmi(load_pmi(args.pmi_matrix), gaps)
+    if args.pmi_matrix:
         parser.error("--pmi-matrix is only valid with --scorer pmi")
     return Scorer.vanilla(gaps=gaps)
-
-
-def _open_out(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _meaning_filename(meaning: str) -> str:
     return urllib.parse.quote(meaning, safe="") + ".tsv"
 
 
-def run(config: RunConfig, parser: argparse.ArgumentParser | None = None) -> int:
-    """Execute one subcommand; raises package errors for ``main`` to map."""
-    parser = parser or build_parser()
-
-    if config.subcommand == "pmi-estimate":
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Execute one parsed subcommand; raises package errors for ``main`` to map."""
+    if args.subcommand == "pmi-estimate":
         pairs = []
-        with open(config.input, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 2:
-                    raise ParseError(f"expected 2 columns, got {len(cols)}", line=lineno)
-                pairs.append((cols[0], cols[1]))
-        matrix = estimate_pmi(pairs, config.smoothing)
-        if config.out:
-            save_pmi(matrix, config.out)
-        else:
-            save_pmi(matrix, sys.stdout)
+        for lineno, line in enumerate(read_text(args.input).split("\n"), start=1):
+            line = line.rstrip("\r")
+            if not line:
+                continue
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise ParseError(f"expected 2 columns, got {len(cols)}", line=lineno)
+            pairs.append((cols[0], cols[1]))
+        save_pmi(estimate_pmi(pairs, args.smoothing), args.out or sys.stdout)
         return 0
 
-    wordlist = parse_wordlist(config.input)
+    wordlist = parse_wordlist(args.input)
 
-    if config.subcommand == "align":
-        scorer = _build_scorer(config, parser)
-        os.makedirs(config.out, exist_ok=True)
+    if args.subcommand == "align":
+        scorer = _build_scorer(args, parser)
+        os.makedirs(args.out, exist_ok=True)
         for meaning, table in similarity_tables(
-            wordlist, scorer, normalize=config.normalize
+            wordlist, scorer, normalize=args.normalize
         ):
-            with _open_out(os.path.join(config.out, _meaning_filename(meaning))) as fh:
+            with open_sink(os.path.join(args.out, _meaning_filename(meaning))) as fh:
                 table.to_tsv(fh)
         return 0
 
-    scorer = _build_scorer(config, parser)
+    scorer = _build_scorer(args, parser)
     crp_config = CrpConfig(
-        alpha=config.alpha,
-        max_scans=config.max_scans,
-        linkage=config.linkage,
-        shuffle_seed=config.shuffle_seed,
+        alpha=args.alpha,
+        max_scans=args.max_scans,
+        linkage=args.linkage,
+        shuffle_seed=args.shuffle_seed,
     )
     partitions = cluster_wordlist(
         wordlist,
         scorer,
         crp_config,
-        threshold=config.threshold,
-        normalize=config.normalize,
-        jobs=config.jobs,
+        threshold=args.threshold,
+        normalize=args.normalize,
+        jobs=args.jobs,
     )
 
-    if config.subcommand == "cluster":
-        if config.out:
-            with _open_out(config.out) as fh:
-                write_partitions(wordlist, partitions, fh)
-        else:
-            write_partitions(wordlist, partitions, sys.stdout)
+    if args.subcommand == "cluster":
+        with open_sink(args.out or sys.stdout) as fh:
+            write_partitions(wordlist, partitions, fh)
         return 0
 
     # evaluate
-    if config.gold:
-        gold = gold_partitions_from(wordlist, parse_wordlist(config.gold))
+    if args.gold:
+        gold = gold_partitions_from(wordlist, parse_wordlist(args.gold))
     else:
         gold = gold_partitions(wordlist)
-    if config.out:
-        with _open_out(config.out) as fh:
+    if args.out:
+        with open_sink(args.out) as fh:
             write_partitions(wordlist, partitions, fh)
     if not gold:
         print("cogclust: no gold cognate classes found; nothing to evaluate",
@@ -239,22 +200,21 @@ def run(config: RunConfig, parser: argparse.ArgumentParser | None = None) -> int
             "synonym_policy": SYNONYM_POLICY,
         },
     )
-    if config.out:
-        with _open_out(config.out + ".report.txt") as fh:
-            fh.write(render_report(report, percent=config.percent))
-        with _open_out(config.out + ".report.tsv") as fh:
-            fh.write(render_report_kv(report, percent=config.percent))
+    if args.out:
+        with open_sink(args.out + ".report.txt") as fh:
+            fh.write(render_report(report, percent=args.percent))
+        with open_sink(args.out + ".report.tsv") as fh:
+            fh.write(render_report_kv(report, percent=args.percent))
     else:
-        sys.stdout.write(render_report(report, percent=config.percent))
+        sys.stdout.write(render_report(report, percent=args.percent))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return run(config, parser)
+        return run(args, parser)
     except ParseError as exc:
         print(f"cogclust: parse error: {exc}", file=sys.stderr)
         return 2

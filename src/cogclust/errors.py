@@ -2,17 +2,21 @@
 
 
 class CogclustError(Exception):
-    """Base class for all cogclust errors."""
+    """Base class for all cogclust errors.
 
-
-class ParseError(CogclustError):
-    """A source file could not be parsed."""
+    ``line`` is the 1-based source line the error refers to, if any; it is
+    prefixed to the message.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ParseError(CogclustError):
+    """A source file could not be parsed."""
 
 
 class MatrixFormatError(ParseError):
@@ -22,18 +26,12 @@ class MatrixFormatError(ParseError):
 class ValidationError(CogclustError):
     """Input data or configuration violates a documented constraint."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class MeaningNotFoundError(CogclustError, KeyError):
     """Lookup of a meaning identifier that is not in the word list."""
 
     def __str__(self) -> str:
-        return self.args[0] if self.args else ""
+        return self.args[0]
 
 
 class DegenerateInputError(CogclustError):

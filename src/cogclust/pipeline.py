@@ -61,12 +61,20 @@ def cluster_wordlist(
     normalize: bool = False,
     jobs: int | None = 1,
 ) -> dict[str, Partition]:
-    """Cluster every meaning; returns partitions keyed in meaning order."""
+    """Cluster every meaning; returns partitions keyed in meaning order.
+
+    ``jobs`` worker processes are used, capped at the usable CPUs and the
+    number of meanings; ``None`` means all usable CPUs.
+    """
     config = config or CrpConfig()
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     meanings = wordlist.meanings
-    if jobs <= 1 or len(meanings) < 2:
+    # The pool starts every worker up front, so never ask for more than can run.
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # not available on macOS and Windows
+        usable = os.cpu_count() or 1
+    jobs = min(usable if jobs is None else jobs, usable, len(meanings))
+    if jobs <= 1:
         return {
             m: cluster_meaning(
                 wordlist.forms_for_meaning(m),

@@ -1,12 +1,15 @@
 """Segment-pair PMI score tables: estimation from aligned pairs and file IO.
 
+A table is an ``align.Scorer``, the one substitution-table type; estimated
+and loaded tables carry default gaps, which ``Scorer.from_pmi`` replaces.
+
 The score of a segment pair (i, j) is ``log(p(i,j) / (q(i) * q(j)))`` where
 ``p`` is the relative frequency of i and j sitting in the same column of the
 aligned word pairs ((i,j) and (j,i) are pooled) and ``q`` is the relative
 frequency of a segment over all non-gap positions of all aligned words. A
 positive score marks a pair that co-occurs above chance, a negative one below
-chance. Gap-aligned columns contribute to neither count; gaps are priced by
-the aligner, not the score table.
+chance. Gap-aligned columns contribute to neither count; gaps are aligner
+parameters, so the matrix file holds no gap scores.
 
 The matrix file format is plain UTF-8 text::
 
@@ -24,63 +27,21 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .align import Scorer
 from .alphabet import ASJP_SOUNDS, GAP
 from .errors import DegenerateInputError, MatrixFormatError, ValidationError
+from .textio import open_sink, read_text
 
-
-class PmiMatrix:
-    """A dense, symmetric segment-pair score table over an alphabet.
-
-    ``scores[i, j]`` holds the score of the i-th and j-th alphabet symbols.
-    Entries may be ``-inf`` when estimated without smoothing from a corpus
-    where the pair never occurred; ``has_unobserved_pairs`` flags that.
-    Instances are immutable and safe for shared concurrent reads.
-    """
-
-    def __init__(self, alphabet: Sequence[str], scores):
-        self.alphabet = tuple(alphabet)
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValidationError("alphabet contains duplicate symbols")
-        arr = np.array(scores, dtype=float)
-        n = len(self.alphabet)
-        if arr.shape != (n, n):
-            raise ValidationError(
-                f"score table shape {arr.shape} does not match alphabet size {n}"
-            )
-        if np.isnan(arr).any():
-            raise ValidationError("score table contains NaN")
-        if not np.array_equal(arr, arr.T):
-            raise ValidationError("score table is not symmetric")
-        arr.setflags(write=False)
-        self.scores = arr
-        self._index = {s: i for i, s in enumerate(self.alphabet)}
-
-    def score(self, i: str, j: str) -> float:
-        try:
-            return float(self.scores[self._index[i], self._index[j]])
-        except KeyError as exc:
-            raise ValidationError(f"segment {exc.args[0]!r} is not in the alphabet") from None
-
-    @property
-    def has_unobserved_pairs(self) -> bool:
-        return bool(np.isneginf(self.scores).any())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PmiMatrix):
-            return NotImplemented
-        return self.alphabet == other.alphabet and np.array_equal(self.scores, other.scores)
-
-    def __repr__(self) -> str:
-        return f"PmiMatrix({len(self.alphabet)} symbols)"
+DEFAULT_SMOOTHING = 0.1
 
 
 def estimate_pmi(
     aligned_pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
-    smoothing: float = 0.1,
+    smoothing: float = DEFAULT_SMOOTHING,
     *,
     alphabet: Sequence[str] = ASJP_SOUNDS,
-) -> PmiMatrix:
-    """Estimate a PMI matrix from already-aligned word pairs in one pass.
+) -> Scorer:
+    """Estimate a PMI table, with default gaps, from aligned word pairs in one pass.
 
     Each item is a pair of equal-length segment sequences over the alphabet
     plus ``"-"`` for gaps. ``smoothing`` is an additive pseudo-count applied
@@ -135,18 +96,15 @@ def estimate_pmi(
                 value = math.log(p / (qa * qb))
             scores[a, b] = value
             scores[b, a] = value
-    return PmiMatrix(symbols, scores)
+    return Scorer(symbols, scores)
 
 
-def load_pmi(source: str | os.PathLike | IO) -> PmiMatrix:
-    """Load a PMI matrix file; the table must be dense and consistent."""
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        with open(os.fspath(source), encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.split("\n")
+def load_pmi(source: str | os.PathLike | IO) -> Scorer:
+    """Load a PMI matrix file as a table with default gaps.
+
+    The table must be dense and consistent.
+    """
+    lines = read_text(source).split("\n")
     head = lines[0].rstrip("\r").split("\t") if lines and lines[0] else []
     if len(head) != 2 or head[0] != "alphabet":
         raise MatrixFormatError("first line must be 'alphabet<TAB><symbols>'", line=1)
@@ -192,21 +150,17 @@ def load_pmi(source: str | os.PathLike | IO) -> PmiMatrix:
     if not filled.all():
         i, j = np.argwhere(~filled)[0]
         raise MatrixFormatError(f"missing score for pair ({symbols[i]}, {symbols[j]})")
-    return PmiMatrix(symbols, scores)
+    return Scorer(symbols, scores)
 
 
-def save_pmi(matrix: PmiMatrix, sink: str | os.PathLike | IO) -> None:
-    """Write a matrix file that ``load_pmi`` reads back as an equal matrix."""
-    own = not hasattr(sink, "write")
-    fh = open(os.fspath(sink), "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        fh.write("alphabet\t" + " ".join(matrix.alphabet) + "\n")
-        n = len(matrix.alphabet)
+def save_pmi(table: Scorer, sink: str | os.PathLike | IO) -> None:
+    """Write a table's scores; ``load_pmi`` reads them back as an equal table
+    with default gaps. The gaps are not written."""
+    with open_sink(sink) as fh:
+        fh.write("alphabet\t" + " ".join(table.alphabet) + "\n")
+        n = len(table.alphabet)
         for i in range(n):
             for j in range(i, n):
                 fh.write(
-                    f"{matrix.alphabet[i]}\t{matrix.alphabet[j]}\t{float(matrix.scores[i, j])!r}\n"
+                    f"{table.alphabet[i]}\t{table.alphabet[j]}\t{float(table.scores[i, j])!r}\n"
                 )
-    finally:
-        if own:
-            fh.close()

@@ -15,6 +15,7 @@ from typing import IO, Iterable
 
 from .alphabet import ASJP_SOUNDS, MODIFIER_CHARS
 from .errors import MeaningNotFoundError, ParseError, ValidationError
+from .textio import open_sink, read_text
 
 HEADER_COLUMNS = ("language", "concept", "transcription", "cognate_class")
 _REQUIRED_COLUMNS = ("language", "concept", "transcription")
@@ -115,21 +116,6 @@ class WordList:
         )
 
 
-def forms_for_meaning(wordlist: WordList, meaning: str) -> tuple[WordForm, ...]:
-    """Function form of :meth:`WordList.forms_for_meaning`."""
-    return wordlist.forms_for_meaning(meaning)
-
-
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data
-    with open(os.fspath(source), encoding="utf-8") as fh:
-        return fh.read()
-
-
 def parse_wordlist(
     source: str | os.PathLike | IO,
     *,
@@ -146,8 +132,7 @@ def parse_wordlist(
     if modifiers not in ("strip", "strict"):
         raise ValidationError(f"unknown modifier policy {modifiers!r}")
     symbols = frozenset(alphabet)
-    text = _read_text(source)
-    lines = text.split("\n")
+    lines = read_text(source).split("\n")
 
     header = lines[0].rstrip("\r").split("\t") if lines and lines[0] else []
     positions: dict[str, int] = {}
@@ -193,12 +178,7 @@ def parse_wordlist(
 
 def write_wordlist(wordlist: WordList, sink: str | os.PathLike | IO) -> None:
     """Write a word list back to 4-column TSV; re-parsing yields an equal list."""
-    own = not hasattr(sink, "write")
-    fh = open(os.fspath(sink), "w", encoding="utf-8", newline="\n") if own else sink
-    try:
+    with open_sink(sink) as fh:
         fh.write("\t".join(HEADER_COLUMNS) + "\n")
         for f in wordlist.forms:
             fh.write(f"{f.language}\t{f.meaning}\t{f.segments}\t{f.gold_class or ''}\n")
-    finally:
-        if own:
-            fh.close()

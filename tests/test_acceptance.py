@@ -19,7 +19,6 @@ from cogclust import (
     CrpConfig,
     GapParams,
     Partition,
-    PmiMatrix,
     Scorer,
     bcubed,
     crp_cluster,
@@ -62,8 +61,7 @@ def test_criterion_1_alignment_oracle_equivalence():
                 scorer = Scorer.vanilla(1.0, -1.0, gaps, alphabet=tuple("peko"))
             else:
                 raw = rng.normal(size=(4, 4))
-                matrix = PmiMatrix(tuple("peko"), (raw + raw.T) / 2)
-                scorer = Scorer.from_pmi(matrix, gaps)
+                scorer = Scorer(tuple("peko"), (raw + raw.T) / 2, gaps)
             expected = alignment_best_score(
                 a, b, scorer.substitution, gap_open, gap_extend
             )
@@ -165,7 +163,7 @@ def test_criterion_6_pmi_estimator():
         for m in range(1, 6):
             pairs = [("a", "a")] * (3 * m) + [("b", "b")] * (3 * m) + [("a", "b")] * (2 * m)
             matrix = estimate_pmi(pairs, smoothing=0, alphabet=("a", "b"))
-            assert abs(matrix.score("a", "b")) < 1e-12
+            assert abs(matrix.substitution("a", "b")) < 1e-12
         checked = 0
         while checked < 100:
             pairs = []
@@ -185,7 +183,7 @@ def test_criterion_6_pmi_estimator():
                 continue
             matrix = estimate_pmi(pairs, smoothing=0, alphabet=tuple("peko"))
             for (x, y), value in expected.items():
-                got = matrix.score(x, y)
+                got = matrix.substitution(x, y)
                 if math.isinf(value):
                     assert math.isinf(got) and got < 0
                 else:
@@ -208,7 +206,7 @@ def _write_random_pmi_matrix(path, rng):
     raw = rng.uniform(-2.0, 1.0, size=(41, 41))
     scores = (raw + raw.T) / 2
     np.fill_diagonal(scores, rng.uniform(1.0, 3.0, size=41))
-    save_pmi(PmiMatrix(ASJP_SOUNDS, scores), str(path))
+    save_pmi(Scorer(ASJP_SOUNDS, scores), str(path))
 
 
 def _run_cli(args):

@@ -7,7 +7,6 @@ import pytest
 
 from cogclust import (
     GapParams,
-    PmiMatrix,
     Scorer,
     ValidationError,
     DegenerateInputError,
@@ -54,15 +53,44 @@ class TestScorer:
         s = vanilla()
         assert s.substitution("a", "a") == 1.0
         assert s.substitution("a", "o") == -1.0
-        m = PmiMatrix(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
-        p = Scorer.from_pmi(m)
+        p = Scorer(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
         assert p.substitution("a", "b") == -1.0
 
+    def test_substitution_lookup_and_unknown_symbol(self):
+        m = Scorer(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
+        assert m.substitution("b", "a") == -1.0
+        with pytest.raises(ValidationError, match="'x'"):
+            m.substitution("x", "a")
+
     def test_unknown_segment_rejected(self):
-        m = PmiMatrix(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
-        p = Scorer.from_pmi(m)
+        p = Scorer(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(ValidationError, match="'z'"):
             nw_score("az", "a", p)
+
+    def test_symmetry_enforced(self):
+        with pytest.raises(ValidationError, match="symmetric"):
+            Scorer(("a", "b"), [[1.0, 2.0], [3.0, 1.0]])
+
+    def test_shape_enforced(self):
+        with pytest.raises(ValidationError):
+            Scorer(("a", "b"), [[1.0]])
+
+    def test_positive_infinity_rejected_negative_allowed(self):
+        with pytest.raises(ValidationError, match=r"\+inf"):
+            Scorer(("a", "b"), [[float("inf"), -1.0], [-1.0, 1.0]])
+        with pytest.raises(ValidationError, match=r"\+inf"):
+            Scorer.vanilla(match=float("inf"))
+        m = Scorer(("a", "b"), [[1.0, float("-inf")], [float("-inf"), 1.0]])
+        assert m.has_unobserved_pairs
+
+    def test_from_pmi_replaces_only_the_gaps(self):
+        table = Scorer(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
+        assert table.gaps == GapParams()
+        regapped = Scorer.from_pmi(table, GapParams(-2.5, -1.0))
+        assert regapped.gaps == GapParams(-2.5, -1.0)
+        assert np.array_equal(regapped.scores, table.scores)
+        assert regapped != table
+        assert Scorer.from_pmi(regapped) == table
 
 
 class TestNwScoreFixtures:
@@ -79,7 +107,7 @@ class TestNwScoreFixtures:
         assert nw_score("", "", vanilla()) == 0.0
 
     def test_pmi_scored_gap_choice(self):
-        m = PmiMatrix(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
+        m = Scorer(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
         p = Scorer.from_pmi(m, GapParams(-2.5, -1.0))
         assert nw_score("ab", "b", p) == -1.5  # gap "a", then b~b
 
@@ -173,8 +201,8 @@ class TestSimilarityMatrix:
                 assert sm.values[i, j] == max(0.0, raw)
 
     def test_diagonal_is_clamped_self_score(self):
-        m = PmiMatrix(("a", "b"), [[-1.0, -2.0], [-2.0, 3.0]])
-        sm = similarity_matrix(["a", "b"], Scorer.from_pmi(m))
+        m = Scorer(("a", "b"), [[-1.0, -2.0], [-2.0, 3.0]])
+        sm = similarity_matrix([WordForm("A", "M", "a"), WordForm("B", "M", "b")], m)
         assert sm.values[0, 0] == 0.0  # self score -1 clamps
         assert sm.values[1, 1] == 3.0
 
@@ -199,9 +227,10 @@ class TestSimilarityMatrix:
         assert norm.values[1, 1] == 1.0
 
     def test_normalize_rejects_non_positive_self_similarity(self):
-        m = PmiMatrix(("a", "b"), [[-1.0, -2.0], [-2.0, 3.0]])
+        m = Scorer(("a", "b"), [[-1.0, -2.0], [-2.0, 3.0]])
+        forms = [WordForm("A", "M", "a"), WordForm("B", "M", "b")]
         with pytest.raises(ValidationError, match="self-similarity"):
-            similarity_matrix(["a", "b"], Scorer.from_pmi(m), normalize=True)
+            similarity_matrix(forms, m, normalize=True)
 
     def test_tsv_dump_round_trips_values(self):
         forms = table1_all_forms()

@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from cogclust import Scorer, load_pmi, parse_wordlist, similarity_matrix
+from cogclust import (
+    CrpConfig,
+    GapParams,
+    Scorer,
+    load_pmi,
+    parse_wordlist,
+    save_pmi,
+    similarity_matrix,
+)
 from cogclust.cli import main
 
 from oracles import crp_reference
@@ -87,18 +95,32 @@ class TestCluster:
         assert len(out.read_text(encoding="utf-8").strip().split("\n")) == 6
 
     def test_defaults_are_the_documented_constants(self):
-        from cogclust.cli import build_parser, _config_from_args
+        from cogclust.cli import build_parser
 
         args = build_parser().parse_args(["cluster", "--input", "x.tsv"])
-        config = _config_from_args(args)
-        assert config.gap_open == -1.0
-        assert config.gap_extend == -0.5
-        assert config.scorer == "vanilla"
-        assert config.alpha == 0.01
-        assert config.max_scans == 3
-        assert config.linkage == "average"
-        assert config.threshold is None
-        assert config.shuffle_seed is None
+        assert GapParams(args.gap_open, args.gap_extend) == GapParams()
+        assert CrpConfig(
+            alpha=args.alpha,
+            max_scans=args.max_scans,
+            linkage=args.linkage,
+            shuffle_seed=args.shuffle_seed,
+        ) == CrpConfig()
+        assert args.scorer == "vanilla"
+        assert args.threshold is None
+        assert args.shuffle_seed is None
+
+    def test_infinite_pmi_score_exits_3(self, tmp_path, sample_file, capsys):
+        matrix = tmp_path / "m.tsv"
+        save_pmi(Scorer.vanilla(), matrix)
+        text = matrix.read_text(encoding="utf-8")
+        assert "\np\tp\t1.0\n" in text
+        matrix.write_text(text.replace("\np\tp\t1.0\n", "\np\tp\tinf\n"), encoding="utf-8")
+        code = main([
+            "cluster", "--input", str(sample_file), "--scorer", "pmi",
+            "--pmi-matrix", str(matrix),
+        ])
+        assert code == 3
+        assert "+inf" in capsys.readouterr().err
 
 
 class TestEvaluate:

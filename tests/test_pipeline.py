@@ -8,6 +8,8 @@ from cogclust import (
     CrpConfig,
     Partition,
     Scorer,
+    WordForm,
+    WordList,
     cluster_meaning,
     cluster_wordlist,
     gold_partitions,
@@ -16,6 +18,7 @@ from cogclust import (
     similarity_tables,
     write_partitions,
 )
+from cogclust import pipeline
 
 from oracles import crp_reference
 
@@ -80,6 +83,40 @@ class TestClusterWordlist:
         wl = sample_wordlist()
         tight = cluster_wordlist(wl, Scorer.vanilla(), CrpConfig(alpha=100.0))
         assert all(p.k == p.n for p in tight.values())
+
+    def test_jobs_bounded_by_usable_cpus_and_meanings(self, monkeypatch):
+        # A pool that records its size and maps in process, so no worker starts.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        wl = WordList(
+            WordForm(lang, f"M{m}", word)
+            for m in range(5)
+            for lang, word in (("A", "ol"), ("B", "al3"), ("C", "tu"))
+        )
+        scorer = Scorer.vanilla()
+        serial = cluster_wordlist(wl, scorer, jobs=1)
+        assert sizes == []
+        for jobs in (10_000, None, 2):
+            assert cluster_wordlist(wl, scorer, jobs=jobs) == serial
+        assert cluster_wordlist(sample_wordlist(), scorer, jobs=10_000)
+        assert sizes == [3, 3, 2, 2]
 
 
 class TestGoldPartitions:

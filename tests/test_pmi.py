@@ -9,12 +9,13 @@ import pytest
 from cogclust import (
     ASJP_SOUNDS,
     DegenerateInputError,
+    GapParams,
     MatrixFormatError,
-    PmiMatrix,
     Scorer,
     ValidationError,
     estimate_pmi,
     load_pmi,
+    nw_score,
     save_pmi,
 )
 
@@ -23,27 +24,11 @@ from oracles import pmi_by_counting
 TWO_SYMBOL_FILE = "alphabet\ta b\na\ta\t2.0\na\tb\t-1.0\nb\tb\t1.0\n"
 
 
-class TestPmiMatrixType:
-    def test_symmetry_enforced(self):
-        with pytest.raises(ValidationError, match="symmetric"):
-            PmiMatrix(("a", "b"), [[1.0, 2.0], [3.0, 1.0]])
-
-    def test_shape_enforced(self):
-        with pytest.raises(ValidationError):
-            PmiMatrix(("a", "b"), [[1.0]])
-
-    def test_score_lookup_and_unknown_symbol(self):
-        m = PmiMatrix(("a", "b"), [[2.0, -1.0], [-1.0, 1.0]])
-        assert m.score("b", "a") == -1.0
-        with pytest.raises(ValidationError, match="'x'"):
-            m.score("x", "a")
-
-
 class TestLoadPmi:
     def test_symmetry_completion(self):
         m = load_pmi(io.StringIO(TWO_SYMBOL_FILE))
-        assert m.score("b", "a") == -1.0
-        assert m.score("a", "a") == 2.0
+        assert m.substitution("b", "a") == -1.0
+        assert m.substitution("a", "a") == 2.0
 
     def test_missing_pair(self):
         text = "alphabet\ta b\na\ta\t2.0\na\tb\t-1.0\n"
@@ -57,7 +42,7 @@ class TestLoadPmi:
 
     def test_consistent_mirror_entry_tolerated(self):
         text = TWO_SYMBOL_FILE + "b\ta\t-1.0\n"
-        assert load_pmi(io.StringIO(text)).score("a", "b") == -1.0
+        assert load_pmi(io.StringIO(text)).substitution("a", "b") == -1.0
 
     def test_gap_rows_rejected(self):
         text = "alphabet\ta -\na\ta\t1.0\na\t-\t0.0\n-\t-\t0.0\n"
@@ -78,6 +63,18 @@ class TestLoadPmi:
         with pytest.raises(MatrixFormatError, match="potato"):
             load_pmi(io.StringIO(text))
 
+    def test_positive_infinity_rejected(self):
+        text = TWO_SYMBOL_FILE.replace("2.0", "inf")
+        with pytest.raises(ValidationError, match=r"\+inf"):
+            load_pmi(io.StringIO(text))
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "matrix.tsv"
+        path.write_text("\ufeff" + TWO_SYMBOL_FILE, encoding="utf-8")
+        want = load_pmi(io.StringIO(TWO_SYMBOL_FILE))
+        assert load_pmi(path) == want
+        assert load_pmi(io.BytesIO(path.read_bytes())) == want
+
 
 class TestSaveLoadRoundTrip:
     def test_two_symbol_round_trip(self):
@@ -87,7 +84,7 @@ class TestSaveLoadRoundTrip:
         assert load_pmi(io.StringIO(buf.getvalue())) == m
 
     def test_all_zero_matrix(self):
-        m = PmiMatrix(("a", "b"), np.zeros((2, 2)))
+        m = Scorer(("a", "b"), np.zeros((2, 2)))
         buf = io.StringIO()
         save_pmi(m, buf)
         again = load_pmi(io.StringIO(buf.getvalue()))
@@ -97,7 +94,7 @@ class TestSaveLoadRoundTrip:
         rng = np.random.default_rng(23)
         for _ in range(5):
             raw = rng.normal(size=(41, 41)) * rng.uniform(1e-6, 1e6)
-            m = PmiMatrix(ASJP_SOUNDS, (raw + raw.T) / 2)
+            m = Scorer(ASJP_SOUNDS, (raw + raw.T) / 2)
             buf = io.StringIO()
             save_pmi(m, buf)
             again = load_pmi(io.StringIO(buf.getvalue()))
@@ -140,23 +137,23 @@ def random_aligned_corpus(rng, symbols="peko", n_pairs=8, max_len=6):
 class TestEstimatePmi:
     def test_single_identical_pair_scores_zero(self):
         m = estimate_pmi([("a", "a")], smoothing=0, alphabet=("a", "b"))
-        assert m.score("a", "a") == 0.0
+        assert m.substitution("a", "a") == 0.0
 
     def test_independence_corpus_scores_zero(self):
         # 3 x (a,a), 3 x (b,b), 2 x (a,b): the pooled pair frequency of (a,b)
         # equals q(a) * q(b) = 1/4 exactly.
         pairs = [("a", "a")] * 3 + [("b", "b")] * 3 + [("a", "b")] * 2
         m = estimate_pmi(pairs, smoothing=0, alphabet=("a", "b"))
-        assert abs(m.score("a", "b")) < 1e-12
+        assert abs(m.substitution("a", "b")) < 1e-12
 
     def test_four_position_corpus_matches_hand_derivation(self):
         # positions (a,a), (a,a), (b,b), (a,b):
         #   p(a,a)=2/4, p(b,b)=1/4, p(a,b)=1/4, q(a)=5/8, q(b)=3/8
         pairs = [("aaba", "aabb")]
         m = estimate_pmi(pairs, smoothing=0, alphabet=("a", "b"))
-        assert abs(m.score("a", "a") - math.log((2 / 4) / (5 / 8) ** 2)) < 1e-12
-        assert abs(m.score("a", "b") - math.log((1 / 4) / ((5 / 8) * (3 / 8)))) < 1e-12
-        assert abs(m.score("b", "b") - math.log((1 / 4) / (3 / 8) ** 2)) < 1e-12
+        assert abs(m.substitution("a", "a") - math.log((2 / 4) / (5 / 8) ** 2)) < 1e-12
+        assert abs(m.substitution("a", "b") - math.log((1 / 4) / ((5 / 8) * (3 / 8)))) < 1e-12
+        assert abs(m.substitution("b", "b") - math.log((1 / 4) / (3 / 8) ** 2)) < 1e-12
 
     def test_matches_counting_oracle_on_random_corpora(self):
         rng = np.random.default_rng(29)
@@ -168,7 +165,7 @@ class TestEstimatePmi:
                 continue
             expected = pmi_by_counting(pairs)
             for (x, y), value in expected.items():
-                got = m.score(x, y)
+                got = m.substitution(x, y)
                 if math.isinf(value):
                     assert math.isinf(got) and got < 0
                 else:
@@ -178,8 +175,8 @@ class TestEstimatePmi:
         # a~a co-occurs above chance (8/18 > 1/4), a~b below (2/18 < 1/4).
         pairs = [("aa", "aa")] * 4 + [("bb", "bb")] * 4 + [("ab", "ba")]
         m = estimate_pmi(pairs, smoothing=0, alphabet=("a", "b"))
-        assert m.score("a", "a") > 0
-        assert m.score("a", "b") < 0
+        assert m.substitution("a", "a") > 0
+        assert m.substitution("a", "b") < 0
 
     def test_sign_property_on_random_corpora(self):
         rng = np.random.default_rng(37)
@@ -206,9 +203,9 @@ class TestEstimatePmi:
                 chance = (marg[x] / tot_m) * (marg[y] / tot_m)
                 observed = count / tot_j
                 if observed > chance:
-                    assert m.score(x, y) > 0
+                    assert m.substitution(x, y) > 0
                 elif observed < chance:
-                    assert m.score(x, y) < 0
+                    assert m.substitution(x, y) < 0
 
     def test_output_symmetric_and_dense(self):
         rng = np.random.default_rng(31)
@@ -221,7 +218,7 @@ class TestEstimatePmi:
     def test_zero_smoothing_flags_unobserved_pairs(self):
         m = estimate_pmi([("a", "a")], smoothing=0, alphabet=("a", "b"))
         assert m.has_unobserved_pairs
-        assert m.score("a", "b") == float("-inf")
+        assert m.substitution("a", "b") == float("-inf")
         smoothed = estimate_pmi([("a", "a")], smoothing=0.1, alphabet=("a", "b"))
         assert not smoothed.has_unobserved_pairs
 
@@ -244,5 +241,6 @@ class TestEstimatePmi:
     def test_estimated_matrix_drives_the_aligner(self):
         pairs = [("pk", "kp")] * 5 + [("ee", "oo")]
         m = estimate_pmi(pairs, smoothing=0.5, alphabet=tuple("peko"))
-        scorer = Scorer.from_pmi(m)
-        assert scorer.substitution("p", "k") == m.score("p", "k")
+        assert m.gaps == GapParams()
+        assert m.substitution("p", "k") > 0
+        assert nw_score("p", "k", m) == m.substitution("p", "k")

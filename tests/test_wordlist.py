@@ -10,7 +10,6 @@ from cogclust import (
     ValidationError,
     WordForm,
     WordList,
-    forms_for_meaning,
     parse_wordlist,
     write_wordlist,
 )
@@ -73,6 +72,13 @@ class TestParsing:
         path = tmp_path / "words.tsv"
         path.write_text(TABLE_SAMPLE, encoding="utf-8")
         assert parse_wordlist(path) == parse(TABLE_SAMPLE)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "words.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + TABLE_SAMPLE.encode("utf-8"))
+        want = parse(TABLE_SAMPLE)
+        assert parse_wordlist(path) == want
+        assert parse_wordlist(io.BytesIO(path.read_bytes())) == want
 
 
 class TestParseErrors:
@@ -152,7 +158,7 @@ class TestFormsForMeaning:
         with pytest.raises(MeaningNotFoundError, match="XYZ"):
             wl.forms_for_meaning("XYZ")
         with pytest.raises(KeyError):
-            forms_for_meaning(wl, "XYZ")
+            wl.forms_for_meaning("XYZ")
 
     def test_meanings_partition_the_forms(self):
         wl = parse(TABLE_SAMPLE)
