@@ -40,7 +40,6 @@ from .pipeline import (
     cluster_meaning,
     cluster_wordlist,
     gold_partitions,
-    gold_partitions_from,
     similarity_tables,
     write_partitions,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "evaluate_dataset",
     "flat_cluster_threshold",
     "gold_partitions",
-    "gold_partitions_from",
     "load_pmi",
     "nw_score",
     "parse_wordlist",

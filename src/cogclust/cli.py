@@ -30,7 +30,6 @@ from .pipeline import (
     SYNONYM_POLICY,
     cluster_wordlist,
     gold_partitions,
-    gold_partitions_from,
     similarity_tables,
     write_partitions,
 )
@@ -53,6 +52,16 @@ def _add_scorer_args(sub):
                      help="divide raw scores by mean self-similarity before clamping")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_cluster_args(sub):
     config = CrpConfig()
     sub.add_argument("--alpha", type=float, default=config.alpha, metavar="F",
@@ -64,7 +73,7 @@ def _add_cluster_args(sub):
                      help="seeded random scan order instead of file order")
     sub.add_argument("--threshold", type=float, default=None, metavar="F",
                      help="use the flat agglomerative baseline at this threshold")
-    sub.add_argument("--jobs", type=int, default=None, metavar="N",
+    sub.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
                      help="worker processes over meanings (default: all cores)")
 
 
@@ -181,10 +190,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
 
     # evaluate
-    if args.gold:
-        gold = gold_partitions_from(wordlist, parse_wordlist(args.gold))
-    else:
-        gold = gold_partitions(wordlist)
+    gold = gold_partitions(wordlist, parse_wordlist(args.gold) if args.gold else None)
     if args.out:
         with open_sink(args.out) as fh:
             write_partitions(wordlist, partitions, fh)

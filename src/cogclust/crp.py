@@ -7,12 +7,16 @@ best cluster or opens a new one when even the best linkage falls below
 ``alpha``. Scanning stops at the first full pass with no membership change,
 or after ``max_scans`` passes.
 
+The scan's whole state is one cluster label per word. Average linkage sums
+each cluster's similarities in word-index order, one rounding per addition,
+so partitions do not depend on the Python version. A ``shuffle_seed`` scan
+order still comes from numpy's ``Generator`` stream.
+
 A conventional agglomerative average-linkage baseline with a stopping
 threshold is provided for comparison.
 """
 
 import operator
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,49 +130,39 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     else:
         order = [int(w) for w in np.random.default_rng(cfg.shuffle_seed).permutation(n)]
 
-    rows = sims.tolist()  # summation over members runs in index order
-    labels = list(range(n))
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    np.fill_diagonal(sims, 0.0)  # a word's own entry adds 0.0 to its label's sum
+    labels = np.arange(n)  # the whole cluster state: one label per word
     averaging = cfg.linkage == "average"
     history: list[int] = []
     for _ in range(cfg.max_scans):
         changes = 0
         for w in order:
-            old_label = labels[w]
-            group = members[old_label]
-            group.remove(w)
-            old_peers = frozenset(group)
-            emptied = not group
-            if emptied:
-                del members[old_label]
-
-            row = rows[w]
-            best_label = None
-            best_sim = _NEG_INF
-            for label in sorted(members):
-                vals = [row[m] for m in members[label]]
-                linkage = sum(vals) / len(vals) if averaging else max(vals)
-                if linkage > best_sim:
-                    best_sim = linkage
-                    best_label = label
-
-            if best_label is None or best_sim < cfg.alpha:
-                # Re-use the label of a just-deleted singleton so that a
-                # zero-change scan leaves the label state untouched.
-                new_label = old_label if emptied else max(members) + 1
-                members[new_label] = [w]
-                labels[w] = new_label
-                new_peers: frozenset[int] = frozenset()
+            old = int(labels[w])
+            row = sims[w]
+            sizes = np.bincount(labels)
+            sizes[old] -= 1  # the word itself is out of its cluster
+            # An empty label scores 0, and alpha > 0, so it never wins.
+            if averaging:
+                # bincount adds each label's weights in word-index order
+                linkage = np.bincount(labels, weights=row) / np.maximum(sizes, 1)
             else:
-                new_peers = frozenset(members[best_label])
-                insort(members[best_label], w)
-                labels[w] = best_label
-            if new_peers != old_peers:
-                changes += 1
+                linkage = np.zeros(len(sizes))
+                np.maximum.at(linkage, labels, row)
+            best = int(np.argmax(linkage))  # the first maximum: lowest label
+            if linkage[best] >= cfg.alpha:
+                new = best
+            elif sizes[old] == 0:
+                # Re-use the label of a just-emptied singleton so that a
+                # zero-change scan leaves the label state untouched.
+                new = old
+            else:
+                new = len(sizes)  # one above the highest label in use
+            labels[w] = new
+            changes += new != old  # peers change exactly when the label does
         history.append(changes)
         if changes == 0:
             break
-    return Partition.from_labels(labels), history
+    return Partition.from_labels(labels.tolist()), history
 
 
 def crp_cluster(sim, config: CrpConfig | None = None) -> Partition:

@@ -30,6 +30,15 @@ class BcubedScore:
     f_score: float
 
 
+def _total(values) -> float:
+    """Sum in index order, rounding after each addition (builtin ``sum`` of
+    floats is compensated from Python 3.12 on, so scores would vary)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _harmonic_mean(p: float, r: float) -> float:
     if p + r == 0:
         return 0.0
@@ -72,13 +81,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if len(xs) != len(ys) or len(xs) < 2:
         return NAN
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((v - mean_x) ** 2 for v in xs)
-    syy = sum((v - mean_y) ** 2 for v in ys)
+    mean_x = _total(xs) / n
+    mean_y = _total(ys) / n
+    sxx = _total((v - mean_x) ** 2 for v in xs)
+    syy = _total((v - mean_y) ** 2 for v in ys)
     if sxx == 0 or syy == 0:
         return NAN
-    sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys))
+    sxy = _total((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys))
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -129,9 +138,9 @@ def evaluate_dataset(
         per_meaning[meaning] = MeaningEval(bcubed(pred, true), pred.k, true.k)
     count = len(per_meaning)
     aggregate = BcubedScore(
-        sum(e.score.precision for e in per_meaning.values()) / count,
-        sum(e.score.recall for e in per_meaning.values()) / count,
-        sum(e.score.f_score for e in per_meaning.values()) / count,
+        _total(e.score.precision for e in per_meaning.values()) / count,
+        _total(e.score.recall for e in per_meaning.values()) / count,
+        _total(e.score.f_score for e in per_meaning.values()) / count,
     )
     correlation = pearson(
         [e.predicted_k for e in per_meaning.values()],

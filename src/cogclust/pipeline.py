@@ -11,6 +11,7 @@ from typing import IO, Iterator, Sequence
 
 from .align import Scorer, SimilarityMatrix, similarity_matrix
 from .crp import CrpConfig, Partition, crp_cluster, flat_cluster_threshold
+from .errors import MeaningNotFoundError
 from .wordlist import WordForm, WordList
 
 SYNONYM_POLICY = "all transcriptions of a (language, meaning) kept as separate items"
@@ -107,35 +108,26 @@ def similarity_tables(
         )
 
 
-def gold_partitions(wordlist: WordList) -> dict[str, Partition]:
-    """Gold partitions from the word list's own cognate-class column.
+def gold_partitions(
+    wordlist: WordList, gold_wordlist: WordList | None = None
+) -> dict[str, Partition]:
+    """Gold partitions from the cognate classes of ``gold_wordlist``.
 
-    Meanings without gold labels are simply absent from the result.
+    By default the word list supplies its own classes. Forms are joined on
+    (language, meaning, transcription); a meaning is evaluable only when
+    every one of its forms finds a labelled match, and is absent otherwise.
     """
+    if gold_wordlist is None:
+        gold_wordlist = wordlist
     out = {}
     for meaning in wordlist.meanings:
-        if wordlist.has_gold(meaning):
-            out[meaning] = Partition.from_labels(
-                [f.gold_class for f in wordlist.forms_for_meaning(meaning)]
-            )
-    return out
-
-
-def gold_partitions_from(wordlist: WordList, gold_wordlist: WordList) -> dict[str, Partition]:
-    """Gold partitions looked up in a separate word list.
-
-    Forms are joined on (language, meaning, transcription); a meaning is
-    evaluable only when every one of its forms finds a labelled match.
-    """
-    table = {
-        (f.language, f.meaning, f.segments): f.gold_class
-        for f in gold_wordlist.forms
-        if f.gold_class is not None
-    }
-    out = {}
-    for meaning in wordlist.meanings:
+        try:
+            gold_forms = gold_wordlist.forms_for_meaning(meaning)
+        except MeaningNotFoundError:
+            continue
+        table = {(f.language, f.segments): f.gold_class for f in gold_forms}
         labels = [
-            table.get((f.language, meaning, f.segments))
+            table.get((f.language, f.segments))
             for f in wordlist.forms_for_meaning(meaning)
         ]
         if all(lab is not None for lab in labels):

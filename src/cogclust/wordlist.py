@@ -94,10 +94,6 @@ class WordList:
         except KeyError:
             raise MeaningNotFoundError(f"unknown meaning {meaning!r}") from None
 
-    def has_gold(self, meaning: str) -> bool:
-        """Whether the meaning's forms carry gold cognate classes."""
-        return self.forms_for_meaning(meaning)[0].gold_class is not None
-
     def __len__(self) -> int:
         return len(self._forms)
 

@@ -84,6 +84,16 @@ class TestCluster:
             main(["cluster", "--input", str(sample_file), "--pmi-matrix", str(matrix)])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("subcommand", ["cluster", "evaluate"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, sample_file, capsys, subcommand, jobs):
+        with pytest.raises(SystemExit) as err:
+            main([subcommand, "--input", str(sample_file), "--jobs", jobs])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs: must be at least 1" in captured.err
+
     def test_threshold_baseline_and_flags(self, tmp_path, sample_file):
         out = tmp_path / "parts.tsv"
         code = main([

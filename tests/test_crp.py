@@ -1,5 +1,8 @@
 """Clustering tests: hand-traced fixtures, reference-loop equivalence, properties."""
 
+import builtins
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,9 @@ from cogclust import (
     ValidationError,
     crp_cluster,
     crp_cluster_with_history,
+    evaluate_dataset,
     flat_cluster_threshold,
+    pearson,
 )
 
 from oracles import crp_reference
@@ -123,6 +128,21 @@ class TestCrpAgainstReference:
             part = crp_cluster(s, CrpConfig(alpha=alpha, linkage=linkage))
             expected = crp_reference(s.tolist(), alpha=alpha, linkage=linkage)
             assert list(part.labels) == expected
+        # Small integer entries make exact ties and linkages equal to alpha
+        # common, so the lowest-label and boundary rules decide most visits.
+        for _ in range(40):
+            n = int(rng.integers(1, 41))
+            raw = rng.integers(0, 4, size=(n, n)).astype(float)
+            s = np.triu(raw) + np.triu(raw, 1).T
+            alpha = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+            max_scans = int(rng.choice([1, 3, 50]))
+            for linkage in ("average", "single"):
+                config = CrpConfig(alpha=alpha, max_scans=max_scans, linkage=linkage)
+                part = crp_cluster(s, config)
+                expected = crp_reference(
+                    s.tolist(), alpha=alpha, max_scans=max_scans, linkage=linkage
+                )
+                assert list(part.labels) == expected
 
     def test_tie_goes_to_lowest_label(self):
         # w0 is equally similar to w1 and w2; the trace in crp_reference and
@@ -213,6 +233,53 @@ class TestCrpProperties:
         average = crp_cluster(s, CrpConfig(alpha=2.5, linkage="average"))
         assert single.k == 1
         assert average.k != 1
+
+
+class TestSummation:
+    def test_results_do_not_depend_on_builtin_sum(self, monkeypatch):
+        # From Python 3.12 on, builtin sum() of floats is compensated, like
+        # math.fsum. Each input below is chosen so that a compensated sum
+        # changes the outcome; the results must follow plain left-to-right
+        # addition whatever sum() does.
+        s = np.array(
+            [[0.0, 1.0, 1.0, 0.1],
+             [1.0, 0.0, 1.0, 0.2],
+             [1.0, 1.0, 0.0, 0.3],
+             [0.1, 0.2, 0.3, 0.0]]
+        )
+        config = CrpConfig(alpha=(0.1 + 0.2 + 0.3) / 3, max_scans=50)
+        assert math.fsum([0.1, 0.2, 0.3]) / 3 < config.alpha
+        predictions = {
+            "M0": Partition((0, 1, 1, 2)),
+            "M1": Partition((0, 0, 0)),
+            "M2": Partition((0, 1, 2, 3)),
+        }
+        gold = {
+            "M0": Partition((0, 1, 2, 0)),
+            "M1": Partition((0, 1, 1)),
+            "M2": Partition((0, 1, 2, 0)),
+        }
+        counts = ([3, 1, 4], [3, 2, 3])
+
+        def run():
+            return (
+                crp_cluster_with_history(s, config),
+                evaluate_dataset(predictions, gold),
+                pearson(*counts),
+            )
+
+        expected = run()
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        assert run() == expected
+
+        (partition, history), report, r = expected
+        assert partition.labels == (0, 0, 0, 0)
+        assert history == [3, 0]
+        f_scores = [e.score.f_score for e in report.per_meaning.values()]
+        assert f_scores == [0.75, 5 / 7, 6 / 7]
+        assert report.aggregate.f_score == (0.75 + 5 / 7 + 6 / 7) / 3
+        assert math.fsum(f_scores) != 0.75 + 5 / 7 + 6 / 7
+        assert r == report.cluster_count_correlation
 
 
 class TestFlatThreshold:

@@ -13,7 +13,6 @@ from cogclust import (
     cluster_meaning,
     cluster_wordlist,
     gold_partitions,
-    gold_partitions_from,
     parse_wordlist,
     similarity_tables,
     write_partitions,
@@ -132,15 +131,18 @@ class TestGoldPartitions:
     def test_from_separate_file(self):
         wl = parse_wordlist(io.StringIO(UNLABELLED))
         gold_wl = sample_wordlist()
-        gold = gold_partitions_from(wl, gold_wl)
+        gold = gold_partitions(wl, gold_wl)
         assert gold["ALL"].labels == (0, 0, 1, 1, 0)
 
     def test_partially_covered_meaning_skipped(self):
         wl = parse_wordlist(io.StringIO(UNLABELLED))
         partial = SAMPLE.replace("Swedish\tALL\tala\tc1\n", "")
-        gold = gold_partitions_from(wl, parse_wordlist(io.StringIO(partial)))
+        gold = gold_partitions(wl, parse_wordlist(io.StringIO(partial)))
         assert "ALL" not in gold
         assert "AND" in gold
+        all_only = "".join(line for line in SAMPLE.splitlines(True) if "\tAND\t" not in line)
+        gold = gold_partitions(wl, parse_wordlist(io.StringIO(all_only)))
+        assert list(gold) == ["ALL"]
 
     def test_identical_label_strings_in_different_meanings_stay_unrelated(self):
         text = (

@@ -10,6 +10,7 @@ from cogclust import (
     ValidationError,
     WordForm,
     WordList,
+    gold_partitions,
     parse_wordlist,
     write_wordlist,
 )
@@ -54,7 +55,7 @@ class TestParsing:
     def test_three_column_file_has_no_gold(self):
         wl = parse("language\tconcept\ttranscription\nEnglish\tALL\tol\n")
         assert wl.forms[0].gold_class is None
-        assert not wl.has_gold("ALL")
+        assert gold_partitions(wl) == {}
 
     def test_reordered_header_columns(self):
         wl = parse("transcription\tlanguage\tconcept\nol\tEnglish\tALL\n")
