@@ -40,7 +40,6 @@ from .pipeline import (
     cluster_meaning,
     cluster_wordlist,
     gold_partitions,
-    similarity_tables,
     write_partitions,
 )
 from .pmi import estimate_pmi, load_pmi, save_pmi
@@ -83,7 +82,6 @@ __all__ = [
     "render_report_kv",
     "save_pmi",
     "similarity_matrix",
-    "similarity_tables",
     "write_partitions",
     "write_wordlist",
 ]

@@ -30,7 +30,7 @@ class GapParams:
     gap_extend: float = -0.5
 
     def __post_init__(self):
-        if self.gap_open > 0 or self.gap_extend > 0:
+        if not (self.gap_open <= 0 and self.gap_extend <= 0):  # NaN fails too
             raise ValidationError("gap penalties must be <= 0")
         if abs(self.gap_extend) > abs(self.gap_open):
             raise ValidationError(

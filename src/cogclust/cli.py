@@ -17,7 +17,7 @@ import sys
 import urllib.parse
 
 from . import __version__
-from .align import GapParams, Scorer
+from .align import GapParams, Scorer, similarity_matrix
 from .crp import CrpConfig
 from .errors import (
     DegenerateInputError,
@@ -26,13 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluate import evaluate_dataset, render_report, render_report_kv
-from .pipeline import (
-    SYNONYM_POLICY,
-    cluster_wordlist,
-    gold_partitions,
-    similarity_tables,
-    write_partitions,
-)
+from .pipeline import SYNONYM_POLICY, cluster_wordlist, gold_partitions, write_partitions
 from .pmi import DEFAULT_SMOOTHING, estimate_pmi, load_pmi, save_pmi
 from .textio import open_sink, read_text
 from .wordlist import parse_wordlist
@@ -146,7 +140,6 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.subcommand == "pmi-estimate":
         pairs = []
         for lineno, line in enumerate(read_text(args.input).split("\n"), start=1):
-            line = line.rstrip("\r")
             if not line:
                 continue
             cols = line.split("\t")
@@ -161,9 +154,10 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.subcommand == "align":
         scorer = _build_scorer(args, parser)
         os.makedirs(args.out, exist_ok=True)
-        for meaning, table in similarity_tables(
-            wordlist, scorer, normalize=args.normalize
-        ):
+        for meaning in wordlist.meanings:
+            table = similarity_matrix(
+                wordlist.forms_for_meaning(meaning), scorer, normalize=args.normalize
+            )
             with open_sink(os.path.join(args.out, _meaning_filename(meaning))) as fh:
                 table.to_tsv(fh)
         return 0

@@ -100,6 +100,8 @@ class CrpConfig:
             raise ValidationError("max_scans must be >= 1")
         if self.linkage not in ("average", "single"):
             raise ValidationError(f"unknown linkage {self.linkage!r}")
+        if self.shuffle_seed is not None and self.shuffle_seed < 0:
+            raise ValidationError("shuffle_seed must be >= 0")
 
 
 def _as_similarity_array(sim) -> np.ndarray:
@@ -187,6 +189,8 @@ def flat_cluster_threshold(sim, threshold: float) -> Partition:
     if n == 0:
         raise DegenerateInputError("empty similarity matrix")
     threshold = float(threshold)
+    if np.isnan(threshold):
+        raise ValidationError("threshold must be a number, got nan")
     cross = sims.copy()  # cross[a, b] = summed similarity between clusters a and b
     sizes = np.ones(n, dtype=float)
     active = list(range(n))

@@ -1,15 +1,17 @@
 """End-to-end orchestration: word list in, per-meaning partitions out.
 
-Meanings are independent, so clustering fans out over a process pool when
-``jobs`` exceeds one; results are merged in meaning order, making output
-independent of worker scheduling.
+Meanings are independent, so clustering a word list is one bound job per
+meaning, ``cluster_meaning`` with the run's scorer and settings. The jobs run
+in a loop, or over a process pool when ``jobs`` exceeds one; results are merged
+in meaning order, making output independent of worker scheduling.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import IO, Iterator, Sequence
+from functools import partial
+from typing import IO, Sequence
 
-from .align import Scorer, SimilarityMatrix, similarity_matrix
+from .align import Scorer, similarity_matrix
 from .crp import CrpConfig, Partition, crp_cluster, flat_cluster_threshold
 from .errors import MeaningNotFoundError
 from .wordlist import WordForm, WordList
@@ -33,24 +35,17 @@ def cluster_meaning(
     return crp_cluster(sims, config or CrpConfig())
 
 
-_WORK: tuple | None = None
+_JOB: tuple | None = None
 
 
-def _worker_init(wordlist, scorer, config, threshold, normalize):
-    global _WORK
-    _WORK = (wordlist, scorer, config, threshold, normalize)
+def _start_worker(wordlist, work):
+    global _JOB
+    _JOB = (wordlist, work)
 
 
-def _worker_run(meaning: str) -> tuple[str, tuple[int, ...]]:
-    wordlist, scorer, config, threshold, normalize = _WORK
-    partition = cluster_meaning(
-        wordlist.forms_for_meaning(meaning),
-        scorer,
-        config,
-        threshold=threshold,
-        normalize=normalize,
-    )
-    return meaning, partition.labels
+def _run_meaning(meaning: str) -> Partition:
+    wordlist, work = _JOB
+    return work(wordlist.forms_for_meaning(meaning))
 
 
 def cluster_wordlist(
@@ -67,7 +62,10 @@ def cluster_wordlist(
     ``jobs`` worker processes are used, capped at the usable CPUs and the
     number of meanings; ``None`` means all usable CPUs.
     """
-    config = config or CrpConfig()
+    work = partial(
+        cluster_meaning, scorer=scorer, config=config,
+        threshold=threshold, normalize=normalize,
+    )
     meanings = wordlist.meanings
     # The pool starts every worker up front, so never ask for more than can run.
     if hasattr(os, "sched_getaffinity"):
@@ -76,36 +74,13 @@ def cluster_wordlist(
         usable = os.cpu_count() or 1
     jobs = min(usable if jobs is None else jobs, usable, len(meanings))
     if jobs <= 1:
-        return {
-            m: cluster_meaning(
-                wordlist.forms_for_meaning(m),
-                scorer,
-                config,
-                threshold=threshold,
-                normalize=normalize,
-            )
-            for m in meanings
-        }
+        return {m: work(wordlist.forms_for_meaning(m)) for m in meanings}
     chunk = max(1, len(meanings) // (jobs * 4))
-    out: dict[str, Partition] = {}
+    # Workers get meaning names, not forms: each already holds the word list.
     with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_worker_init,
-        initargs=(wordlist, scorer, config, threshold, normalize),
+        max_workers=jobs, initializer=_start_worker, initargs=(wordlist, work)
     ) as pool:
-        for meaning, labels in pool.map(_worker_run, meanings, chunksize=chunk):
-            out[meaning] = Partition(labels)
-    return out
-
-
-def similarity_tables(
-    wordlist: WordList, scorer: Scorer, *, normalize: bool = False
-) -> Iterator[tuple[str, SimilarityMatrix]]:
-    """Yield (meaning, similarity matrix) pairs in meaning order."""
-    for meaning in wordlist.meanings:
-        yield meaning, similarity_matrix(
-            wordlist.forms_for_meaning(meaning), scorer, normalize=normalize
-        )
+        return dict(zip(meanings, pool.map(_run_meaning, meanings, chunksize=chunk)))
 
 
 def gold_partitions(

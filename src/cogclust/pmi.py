@@ -49,8 +49,8 @@ def estimate_pmi(
     joint cells induce (a symbol gains ``smoothing * (len(alphabet) + 1)``
     pseudo-occurrences). With ``smoothing=0`` unobserved pairs score ``-inf``.
     """
-    if smoothing < 0:
-        raise ValidationError("smoothing must be >= 0")
+    if not 0 <= smoothing < math.inf:  # NaN fails too
+        raise ValidationError("smoothing must be finite and >= 0")
     symbols = tuple(alphabet)
     valid = frozenset(symbols)
     joint: dict[tuple[str, str], int] = {}
@@ -105,7 +105,7 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
     The table must be dense and consistent.
     """
     lines = read_text(source).split("\n")
-    head = lines[0].rstrip("\r").split("\t") if lines and lines[0] else []
+    head = lines[0].split("\t") if lines and lines[0] else []
     if len(head) != 2 or head[0] != "alphabet":
         raise MatrixFormatError("first line must be 'alphabet<TAB><symbols>'", line=1)
     symbols = head[1].split(" ")
@@ -126,7 +126,7 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
     for lineno, raw in enumerate(lines[1:], start=2):
         if raw == "":
             continue
-        row = raw.rstrip("\r").split("\t")
+        row = raw.split("\t")
         if len(row) != 3:
             raise MatrixFormatError(f"expected 3 columns, got {len(row)}", line=lineno)
         a, b, text_value = row

@@ -6,10 +6,15 @@ from typing import IO
 
 
 def read_text(source: str | os.PathLike | IO) -> str:
-    """Whole text of a path or an open text or binary file, minus a leading BOM."""
+    """Whole text of a path or an open text or binary file, minus a leading BOM.
+
+    Line ends are ``\\n`` whatever the source: ``\\r\\n`` and a lone ``\\r``
+    are read as ``\\n``, as ``open()`` reads a path.
+    """
     if hasattr(source, "read"):
         data = source.read()
         text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     else:
         with open(os.fspath(source), encoding="utf-8") as fh:
             text = fh.read()

@@ -130,7 +130,7 @@ def parse_wordlist(
     symbols = frozenset(alphabet)
     lines = read_text(source).split("\n")
 
-    header = lines[0].rstrip("\r").split("\t") if lines and lines[0] else []
+    header = lines[0].split("\t") if lines and lines[0] else []
     positions: dict[str, int] = {}
     for idx, name in enumerate(header):
         if name in positions:
@@ -148,7 +148,7 @@ def parse_wordlist(
     for lineno, raw in enumerate(lines[1:], start=2):
         if raw == "":
             continue
-        row = raw.rstrip("\r").split("\t")
+        row = raw.split("\t")
         if len(row) != ncols:
             raise ParseError(f"expected {ncols} columns, got {len(row)}", line=lineno)
         language = row[positions["language"]]

@@ -29,10 +29,10 @@ class TestGapParams:
         assert gaps.gap_extend == -0.5
 
     def test_positive_penalty_rejected(self):
-        with pytest.raises(ValidationError):
-            GapParams(gap_open=1.0)
-        with pytest.raises(ValidationError):
-            GapParams(gap_open=-1.0, gap_extend=0.5)
+        nan = float("nan")
+        for gap_open, gap_extend in ((1.0, -0.5), (-1.0, 0.5), (nan, -0.5), (-1.0, nan)):
+            with pytest.raises(ValidationError, match="gap penalties"):
+                GapParams(gap_open=gap_open, gap_extend=gap_extend)
 
     def test_extension_dearer_than_opening_rejected(self):
         with pytest.raises(ValidationError):

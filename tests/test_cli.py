@@ -94,6 +94,22 @@ class TestCluster:
         assert captured.out == ""
         assert "--jobs: must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("subcommand, flags, message", [
+        ("cluster", ["--threshold", "nan"], "threshold"),
+        ("cluster", ["--gap-open", "nan"], "gap penalties"),
+        ("cluster", ["--gap-extend", "nan"], "gap penalties"),
+        ("align", ["--gap-open", "nan"], "gap penalties"),
+        ("align", ["--gap-extend", "nan"], "gap penalties"),
+        ("cluster", ["--shuffle-seed", "-1"], "shuffle_seed"),
+        ("evaluate", ["--shuffle-seed", "-1"], "shuffle_seed"),
+    ])
+    def test_bad_bound_exits_3(self, tmp_path, sample_file, capsys,
+                               subcommand, flags, message):
+        out = tmp_path / "out"
+        code = main([subcommand, "--input", str(sample_file), "--out", str(out), *flags])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     def test_threshold_baseline_and_flags(self, tmp_path, sample_file):
         out = tmp_path / "parts.tsv"
         code = main([
@@ -193,15 +209,20 @@ class TestEvaluate:
 
 
 class TestAlign:
-    def test_writes_matrix_per_meaning(self, tmp_path, sample_file):
+    def test_writes_matrix_per_meaning(self, tmp_path):
+        words = tmp_path / "words.tsv"
+        words.write_text(SAMPLE + "English\tAND\tEnd\td1\nGerman\tAND\tunt\td1\n",
+                         encoding="utf-8")
         out_dir = tmp_path / "matrices"
-        assert main([
-            "align", "--input", str(sample_file), "--out", str(out_dir)
-        ]) == 0
+        assert main(["align", "--input", str(words), "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["ALL.tsv", "AND.tsv"]
         table = (out_dir / "ALL.tsv").read_text(encoding="utf-8")
         lines = table.splitlines()
         assert lines[0].split("\t")[1:] == ["ol", "al3", "tu", "to8o", "ala"]
         assert len(lines) == 6
+        lines = (out_dir / "AND.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines[0].split("\t")[1:] == ["End", "unt"]
+        assert len(lines) == 3
 
     def test_meaning_names_are_sanitised(self, tmp_path):
         text = "language\tconcept\ttranscription\nL1\ta/b c\tol\n"
@@ -235,6 +256,14 @@ class TestPmiEstimate:
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("olo\tal\n", encoding="utf-8")
         assert main(["pmi-estimate", "--input", str(pairs)]) == 3
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_bad_smoothing_exits_3(self, tmp_path, capsys, smoothing):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("ol\tal\n", encoding="utf-8")
+        code = main(["pmi-estimate", "--input", str(pairs), "--smoothing", smoothing])
+        assert code == 3
+        assert "smoothing" in capsys.readouterr().err
 
 
 class TestMeta:

@@ -71,6 +71,11 @@ class TestCrpConfig:
             CrpConfig(max_scans=0)
         with pytest.raises(ValidationError):
             CrpConfig(linkage="complete")
+        with pytest.raises(ValidationError):
+            CrpConfig(alpha=float("nan"))
+        with pytest.raises(ValidationError, match="shuffle_seed"):
+            CrpConfig(shuffle_seed=-1)
+        CrpConfig(shuffle_seed=0)
 
     def test_defaults(self):
         cfg = CrpConfig()
@@ -307,3 +312,8 @@ class TestFlatThreshold:
 
     def test_single_item(self):
         assert flat_cluster_threshold(np.zeros((1, 1)), 1.0).k == 1
+
+    def test_nan_threshold_rejected(self):
+        s = symmetric([(0, 1, 5.0)], 3)
+        with pytest.raises(ValidationError, match="threshold"):
+            flat_cluster_threshold(s, float("nan"))

@@ -1,6 +1,9 @@
 """Pipeline orchestration tests: clustering over word lists, gold extraction."""
 
 import io
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -14,7 +17,6 @@ from cogclust import (
     cluster_wordlist,
     gold_partitions,
     parse_wordlist,
-    similarity_tables,
     write_partitions,
 )
 from cogclust import pipeline
@@ -117,6 +119,20 @@ class TestClusterWordlist:
         assert cluster_wordlist(sample_wordlist(), scorer, jobs=10_000)
         assert sizes == [3, 3, 2, 2]
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_start_method(self, monkeypatch, method):
+        # Unlike fork, these start methods pickle the worker's bound job.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                            partial(ProcessPoolExecutor, mp_context=context))
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        wl = sample_wordlist()
+        scorer = Scorer.vanilla()
+        assert cluster_wordlist(wl, scorer, jobs=2) == cluster_wordlist(wl, scorer, jobs=1)
+
 
 class TestGoldPartitions:
     def test_from_own_column(self):
@@ -171,11 +187,3 @@ class TestWritePartitions:
         assert lines[1] == "ALL\tEnglish\tol\t0"
         assert lines[5] == "ALL\tSwedish\tala\t0"
         assert len(lines) == 11
-
-
-class TestSimilarityTables:
-    def test_meaning_order_and_shape(self):
-        wl = sample_wordlist()
-        tables = list(similarity_tables(wl, Scorer.vanilla()))
-        assert [m for m, _ in tables] == ["ALL", "AND"]
-        assert tables[0][1].values.shape == (5, 5)

@@ -75,6 +75,16 @@ class TestLoadPmi:
         assert load_pmi(path) == want
         assert load_pmi(io.BytesIO(path.read_bytes())) == want
 
+    def test_line_ends_read_alike_from_every_source(self, tmp_path):
+        # CRLF, a blank CRLF line and a lone CR: the same bytes, three sources.
+        data = b"alphabet\ta b\r\na\ta\t2.0\r\n\r\na\tb\t-1.0\rb\tb\t1.0\r\n"
+        path = tmp_path / "matrix.tsv"
+        path.write_bytes(data)
+        want = load_pmi(io.StringIO(TWO_SYMBOL_FILE))
+        assert load_pmi(path) == want
+        assert load_pmi(io.BytesIO(data)) == want
+        assert load_pmi(io.StringIO(data.decode("utf-8"))) == want
+
 
 class TestSaveLoadRoundTrip:
     def test_two_symbol_round_trip(self):
@@ -235,8 +245,9 @@ class TestEstimatePmi:
             estimate_pmi([("az", "aa")], alphabet=("a",))
 
     def test_negative_smoothing_rejected(self):
-        with pytest.raises(ValidationError):
-            estimate_pmi([("a", "a")], smoothing=-0.1)
+        for smoothing in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="smoothing"):
+                estimate_pmi([("a", "a")], smoothing=smoothing, alphabet=("a",))
 
     def test_estimated_matrix_drives_the_aligner(self):
         pairs = [("pk", "kp")] * 5 + [("ee", "oo")]

@@ -81,6 +81,19 @@ class TestParsing:
         assert parse_wordlist(path) == want
         assert parse_wordlist(io.BytesIO(path.read_bytes())) == want
 
+    def test_line_ends_read_alike_from_every_source(self, tmp_path):
+        # CRLF, a blank CRLF line and a lone CR: the same bytes, three sources.
+        rows = TABLE_SAMPLE.split("\n")
+        text = "\r\n".join(rows[:3]) + "\r\n\r\n" + "\r".join(rows[3:6]) + "\r\n"
+        text += "\n".join(rows[6:])
+        data = text.encode("utf-8")
+        path = tmp_path / "words.tsv"
+        path.write_bytes(data)
+        want = parse(TABLE_SAMPLE)
+        assert parse_wordlist(path) == want
+        assert parse_wordlist(io.BytesIO(data)) == want
+        assert parse_wordlist(io.StringIO(text)) == want
+
 
 class TestParseErrors:
     def test_out_of_alphabet_symbol_named_with_line(self):
