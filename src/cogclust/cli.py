@@ -214,7 +214,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args, parser)
+        status = run(args, parser)
+        # Flush here, so that a reader that closed early is handled below
+        # rather than at interpreter exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader stopped early; that is not an error of this program.
+        # Point stdout at devnull so the interpreter's final flush succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ParseError as exc:
         print(f"cogclust: parse error: {exc}", file=sys.stderr)
         return 2

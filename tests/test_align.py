@@ -15,7 +15,10 @@ from cogclust import (
     similarity_matrix,
 )
 
+from cogclust.align import _CHUNK_PAIRS
 from oracles import alignment_best_score
+
+NEG_INF = float("-inf")
 
 
 def vanilla(match=1.0, mismatch=-1.0, open_=-1.0, extend=-0.5):
@@ -243,3 +246,109 @@ class TestSimilarityMatrix:
             cells = line.split("\t")
             assert cells[0] == forms[i].segments
             assert [float(c) for c in cells[1:]] == list(sm.values[i])
+
+
+def scalar_gotoh(a, b, scorer):
+    """The per-pair loop the batched kernel replaced: its bitwise reference."""
+    sub, gap_open, gap_extend = scorer.substitution, scorer.gaps.gap_open, scorer.gaps.gap_extend
+    n, m = len(a), len(b)
+    m_prev, x_prev, y_prev = [NEG_INF] * (m + 1), [NEG_INF] * (m + 1), [NEG_INF] * (m + 1)
+    m_prev[0] = 0.0
+    for j in range(1, m + 1):
+        y_prev[j] = gap_open if j == 1 else y_prev[j - 1] + gap_extend
+    for i in range(1, n + 1):
+        m_cur, x_cur, y_cur = [NEG_INF] * (m + 1), [NEG_INF] * (m + 1), [NEG_INF] * (m + 1)
+        x_cur[0] = gap_open if i == 1 else x_prev[0] + gap_extend
+        for j in range(1, m + 1):
+            diag_m, diag_x, diag_y = m_prev[j - 1], x_prev[j - 1], y_prev[j - 1]
+            best = diag_m if diag_m >= diag_x else diag_x
+            if diag_y > best:
+                best = diag_y
+            m_cur[j] = best + sub(a[i - 1], b[j - 1])
+            from_m, from_x, from_y = m_prev[j] + gap_open, x_prev[j] + gap_extend, y_prev[j] + gap_open
+            best = from_m if from_m >= from_x else from_x
+            if from_y > best:
+                best = from_y
+            x_cur[j] = best
+            from_m, from_x, from_y = m_cur[j - 1] + gap_open, x_cur[j - 1] + gap_open, y_cur[j - 1] + gap_extend
+            best = from_m if from_m >= from_x else from_x
+            if from_y > best:
+                best = from_y
+            y_cur[j] = best
+        m_prev, x_prev, y_prev = m_cur, x_cur, y_cur
+    return max(m_prev[m], x_prev[m], y_prev[m])
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+# A table with signed zeros and a pair an unsmoothed PMI estimate never saw.
+SIGNED = Scorer(("a", "b", "c"), [
+    [1.0, -0.0, NEG_INF],
+    [-0.0, 0.0, -0.5],
+    [NEG_INF, -0.5, -0.0],
+])
+KERNEL_CASES = {
+    "signed zeros, -inf": SIGNED,
+    "signed zeros, -inf, zero gaps": Scorer.from_pmi(SIGNED, GapParams(0.0, 0.0)),
+    "vanilla, zero gaps": Scorer.vanilla(1.0, -1.0, GapParams(0.0, 0.0), alphabet="abc"),
+}
+
+
+def mixed_forms(rng, count, max_len):
+    """Forms of 1 to max_len segments over "abc", one-segment words included."""
+    words = ["a", "c"] + [
+        "".join(rng.choice(list("abc"), size=rng.integers(1, max_len + 1)))
+        for _ in range(count - 2)
+    ]
+    return [WordForm(f"L{i}", "M", w) for i, w in enumerate(words)]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matrix_equals_enumeration_across_chunks(self, case):
+        scorer = KERNEL_CASES[case]
+        forms = mixed_forms(np.random.default_rng(3), 48, 4)
+        assert len(forms) * (len(forms) + 1) // 2 > _CHUNK_PAIRS
+        sm = similarity_matrix(forms, scorer)
+        oracle = {}
+        for i, fi in enumerate(forms):
+            for j, fj in enumerate(forms):
+                key = (fi.segments, fj.segments)
+                if key not in oracle:
+                    oracle[key] = alignment_best_score(
+                        *key, scorer.substitution, scorer.gaps.gap_open, scorer.gaps.gap_extend
+                    )
+                raw = oracle[key]
+                assert same_bits(sm.values[i, j], raw if raw > 0 else 0.0), (case, key)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_empty_words_equal_enumeration(self, case):
+        scorer = KERNEL_CASES[case]
+        gaps = scorer.gaps
+        for a, b in [("", ""), ("", "a"), ("bc", ""), ("", "abca"), ("a", "a")]:
+            want = alignment_best_score(a, b, scorer.substitution, gaps.gap_open, gaps.gap_extend)
+            assert same_bits(nw_score(a, b, scorer), want), (case, a, b)
+
+    def test_signed_zeros_follow_the_scalar_tie_rule(self):
+        # With gap_open = -0.0 a boundary gap run starts at -0.0, so ties
+        # between 0.0 and -0.0 reach every max; the enumeration oracle, which
+        # starts each path at +0.0, cannot tell the two apart.
+        rng = np.random.default_rng(5)
+        values = [0.0, -0.0, NEG_INF, 1.0, -1.0]
+        for trial in range(40):
+            table = rng.choice(values, size=(3, 3))
+            table = np.triu(table) + np.triu(table, 1).T
+            gaps = GapParams(*[(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-1.0, -0.0)][trial % 4])
+            scorer = Scorer(("a", "b", "c"), table, gaps)
+            forms = mixed_forms(rng, 50 if trial == 0 else 8, 4)
+            words = ["", *(f.segments for f in forms[:6])]
+            for a in words:
+                for b in words:
+                    assert same_bits(nw_score(a, b, scorer), scalar_gotoh(a, b, scorer)), (trial, a, b)
+            sm = similarity_matrix(forms, scorer)
+            for i, fi in enumerate(forms):
+                for j, fj in enumerate(forms):
+                    want = np.maximum(scalar_gotoh(fi.segments, fj.segments, scorer), 0.0)
+                    assert same_bits(sm.values[i, j], want), (trial, i, j)

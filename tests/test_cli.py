@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process via main(); exit codes, outputs)."""
 
 import io
+import os
 import subprocess
 import sys
 
@@ -71,6 +72,12 @@ class TestCluster:
 
     def test_missing_input_exits_4(self, tmp_path, capsys):
         assert main(["cluster", "--input", str(tmp_path / "nope.tsv")]) == 4
+
+    def test_output_in_missing_directory_exits_4_naming_it(self, tmp_path, sample_file, capsys):
+        out = tmp_path / "missing" / "parts.tsv"
+        assert main(["cluster", "--input", str(sample_file), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
 
     def test_scorer_pmi_without_matrix_is_usage_error(self, sample_file):
         with pytest.raises(SystemExit) as err:
@@ -277,6 +284,25 @@ class TestMeta:
         with pytest.raises(SystemExit) as err:
             main(["--help"])
         assert err.value.code == 0
+
+    @pytest.mark.parametrize("stderr_on_pipe", [False, True], ids=["stderr-apart", "stderr-on-pipe"])
+    def test_reader_closed_early_exits_0_quietly(self, sample_file, stderr_on_pipe):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cogclust", "cluster", "--input", str(sample_file)],
+                stdout=write_end,
+                stderr=write_end if stderr_on_pipe else subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        # With stderr on the closed pipe too, any message would fail to write
+        # and change the exit status.
+        assert proc.returncode == 0
+        if not stderr_on_pipe:
+            assert proc.stderr == b""
 
     def test_console_entry_point_runs(self, sample_file):
         proc = subprocess.run(
