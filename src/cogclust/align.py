@@ -250,10 +250,6 @@ class SimilarityMatrix:
     values: np.ndarray
     forms: tuple
 
-    @property
-    def n(self) -> int:
-        return len(self.forms)
-
     def words(self) -> tuple[str, ...]:
         return tuple(f.segments for f in self.forms)
 

@@ -150,9 +150,9 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
 
     wordlist = parse_wordlist(args.input)
+    scorer = _build_scorer(args, parser)
 
     if args.subcommand == "align":
-        scorer = _build_scorer(args, parser)
         os.makedirs(args.out, exist_ok=True)
         for meaning in wordlist.meanings:
             table = similarity_matrix(
@@ -162,7 +162,6 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 table.to_tsv(fh)
         return 0
 
-    scorer = _build_scorer(args, parser)
     crp_config = CrpConfig(
         alpha=args.alpha,
         max_scans=args.max_scans,
@@ -185,10 +184,10 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     # evaluate
     gold = gold_partitions(wordlist, parse_wordlist(args.gold) if args.gold else None)
-    if args.out:
-        with open_sink(args.out) as fh:
-            write_partitions(wordlist, partitions, fh)
     if not gold:
+        if args.out:
+            with open_sink(args.out) as fh:
+                write_partitions(wordlist, partitions, fh)
         print("cogclust: no gold cognate classes found; nothing to evaluate",
               file=sys.stderr)
         return 0
@@ -200,13 +199,21 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "synonym_policy": SYNONYM_POLICY,
         },
     )
-    if args.out:
-        with open_sink(args.out + ".report.txt") as fh:
-            fh.write(render_report(report, percent=args.percent))
-        with open_sink(args.out + ".report.tsv") as fh:
-            fh.write(render_report_kv(report, percent=args.percent))
-    else:
-        sys.stdout.write(render_report(report, percent=args.percent))
+    text = render_report(report, percent=args.percent)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    kv = render_report_kv(report, percent=args.percent)
+    # Each sink replaces its path only when the block ends without error, so
+    # a file that cannot be written leaves all three with their old bytes.
+    with (
+        open_sink(args.out) as fh,
+        open_sink(args.out + ".report.txt") as text_fh,
+        open_sink(args.out + ".report.tsv") as kv_fh,
+    ):
+        write_partitions(wordlist, partitions, fh)
+        text_fh.write(text)
+        kv_fh.write(kv)
     return 0
 
 

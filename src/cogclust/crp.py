@@ -7,13 +7,14 @@ best cluster or opens a new one when even the best linkage falls below
 ``alpha``. Scanning stops at the first full pass with no membership change,
 or after ``max_scans`` passes.
 
-The scan's whole state is one cluster label per word. Average linkage sums
-each cluster's similarities in word-index order, one rounding per addition,
-so partitions do not depend on the Python version. A ``shuffle_seed`` scan
-order still comes from numpy's ``Generator`` stream.
-
 A conventional agglomerative average-linkage baseline with a stopping
 threshold is provided for comparison.
+
+Both clusterers keep one cluster label per word as their whole membership
+state. The scan's average linkage sums each cluster's similarities in
+word-index order, one rounding per addition, so partitions do not depend on
+the Python version. A ``shuffle_seed`` scan order still comes from numpy's
+``Generator`` stream.
 """
 
 import operator
@@ -113,6 +114,8 @@ def _as_similarity_array(sim) -> np.ndarray:
         raise ValidationError("similarity matrix must be symmetric")
     if not (arr >= 0).all():
         raise ValidationError("similarity matrix must be non-negative")
+    if arr.shape[0] == 0:
+        raise DegenerateInputError("empty similarity matrix")
     return arr
 
 
@@ -125,8 +128,6 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     cfg = config or CrpConfig()
     sims = _as_similarity_array(sim)
     n = sims.shape[0]
-    if n == 0:
-        raise DegenerateInputError("empty similarity matrix")
     if cfg.shuffle_seed is None:
         order = list(range(n))
     else:
@@ -182,36 +183,33 @@ def flat_cluster_threshold(sim, threshold: float) -> Partition:
 
     Repeatedly merges the cluster pair with the highest average inter-cluster
     similarity until that maximum falls below ``threshold`` or one cluster
-    remains. Ties go to the earliest-created cluster pair.
+    remains. A cluster is named by its lowest word index; ties go to the pair
+    of names (a, b), a < b, that comes first by a, then by b.
     """
-    sims = _as_similarity_array(sim)
-    n = sims.shape[0]
-    if n == 0:
-        raise DegenerateInputError("empty similarity matrix")
+    cross = _as_similarity_array(sim)  # cross[a, b]: a and b's summed similarity
+    n = cross.shape[0]
     threshold = float(threshold)
     if np.isnan(threshold):
         raise ValidationError("threshold must be a number, got nan")
-    cross = sims.copy()  # cross[a, b] = summed similarity between clusters a and b
-    sizes = np.ones(n, dtype=float)
-    active = list(range(n))
-    cluster_members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    while len(active) > 1:
-        act = np.array(active)
-        averages = cross[np.ix_(act, act)] / np.outer(sizes[act], sizes[act])
-        np.fill_diagonal(averages, _NEG_INF)
-        flat = int(np.argmax(averages))
-        best = averages.flat[flat]
-        if best < threshold:
+    # A name no longer in use gets a -inf column in cross, and a -inf row and
+    # column in averages, whose diagonal is -inf too. The diagonal of cross
+    # holds no -inf, so no sum adds -inf to a +inf similarity.
+    averages = cross.copy()
+    np.fill_diagonal(averages, _NEG_INF)
+    sizes = np.ones(n)
+    labels = np.arange(n)  # each word's cluster name
+    for _ in range(n - 1):
+        flat = int(np.argmax(averages))  # the first maximum in row-major order
+        if averages.flat[flat] < threshold:
             break
-        ii, jj = divmod(flat, len(act))
-        a, b = active[ii], active[jj]
-        cluster_members[a].extend(cluster_members.pop(b))
-        cross[a, :] += cross[b, :]
-        cross[:, a] += cross[:, b]
+        a, b = divmod(flat, n)
+        cross[a] += cross[b]
+        cross[:, a] = cross[a]
+        cross[:, b] = _NEG_INF
         sizes[a] += sizes[b]
-        active.remove(b)
-    out = [0] * n
-    for label, members in cluster_members.items():
-        for w in members:
-            out[w] = label
-    return Partition.from_labels(out)
+        # Only a's averages change; each is the same sum over the same
+        # product of sizes as a full recomputation would give.
+        averages[a] = averages[:, a] = cross[a] / (sizes[a] * sizes)
+        averages[b] = averages[:, b] = averages[a, a] = _NEG_INF
+        labels[labels == b] = a
+    return Partition.from_labels(labels.tolist())

@@ -6,7 +6,7 @@ A word list is a TSV table with one word form per row::
 
 The ``cognate_class`` column is optional (it holds expert cognacy labels used
 for evaluation). Header names are fixed but may appear in any order.
-Transcriptions are validated against a segment alphabet, ASJP by default.
+Transcriptions are checked against the ASJP alphabet.
 """
 
 import os
@@ -115,19 +115,17 @@ class WordList:
 def parse_wordlist(
     source: str | os.PathLike | IO,
     *,
-    alphabet: Iterable[str] = ASJP_SOUNDS,
     modifiers: str = "strip",
-    modifier_chars: frozenset[str] = MODIFIER_CHARS,
 ) -> WordList:
     """Parse a TSV word list from a path or an open (text or binary) file.
 
     ``modifiers`` selects how transcription modifier characters are treated:
     ``"strip"`` drops them, ``"strict"`` reports them as alphabet violations.
-    Any other character outside ``alphabet`` is an error in both modes.
+    Any other character outside the ASJP alphabet is an error in both modes.
     """
     if modifiers not in ("strip", "strict"):
         raise ValidationError(f"unknown modifier policy {modifiers!r}")
-    symbols = frozenset(alphabet)
+    symbols = frozenset(ASJP_SOUNDS)
     lines = read_text(source).split("\n")
 
     header = lines[0].split("\t") if lines and lines[0] else []
@@ -159,7 +157,7 @@ def parse_wordlist(
         if not meaning:
             raise ValidationError("empty concept identifier", line=lineno)
         if modifiers == "strip":
-            word = "".join(ch for ch in word if ch not in modifier_chars)
+            word = "".join(ch for ch in word if ch not in MODIFIER_CHARS)
         if not word:
             raise ValidationError("empty transcription", line=lineno)
         for ch in word:

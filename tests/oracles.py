@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the package:
 exhaustive enumeration for alignment scores, per-item loops for B-cubed,
-literal frequency counting for PMI, and a plain re-implementation of the
-clustering scan.
+literal frequency counting for PMI, and plain re-implementations of the
+clustering scan and of the agglomerative baseline.
 """
 
 import math
@@ -101,6 +101,37 @@ def crp_reference(matrix, alpha=0.01, max_scans=3, linkage="average"):
             dense[c] = len(dense)
         out.append(dense[c])
     return out
+
+
+def flat_reference(matrix, threshold):
+    """Plain agglomerative average linkage over a nested-list matrix.
+
+    Clusters are lists of word indices, ordered by their lowest member. Each
+    step merges the first pair, over ascending clusters, whose average (the
+    sum of its cross-member similarities over the product of the sizes) is
+    strictly greater than every earlier pair's, unless that average is below
+    ``threshold``. Returns labels numbered by first appearance, as a list.
+    """
+    clusters = [[i] for i in range(len(matrix))]
+    while len(clusters) > 1:
+        best_pair = None
+        best_average = float("-inf")
+        for x in range(len(clusters)):
+            for y in range(x + 1, len(clusters)):
+                total = sum(matrix[i][j] for i in clusters[x] for j in clusters[y])
+                average = total / (len(clusters[x]) * len(clusters[y]))
+                if average > best_average:
+                    best_average = average
+                    best_pair = (x, y)
+        if best_average < threshold:
+            break
+        x, y = best_pair
+        clusters[x].extend(clusters.pop(y))
+    labels = [0] * len(matrix)
+    for label, members in enumerate(clusters):  # lowest members ascend
+        for i in members:
+            labels[i] = label
+    return labels
 
 
 def pmi_by_counting(aligned_pairs):

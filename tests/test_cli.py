@@ -182,6 +182,19 @@ class TestEvaluate:
         assert "meanings_evaluated\t1" in kv
         assert "metadata\tmeanings_without_gold\t0" in kv
 
+    def test_unwritable_report_leaves_every_output_as_it_was(self, tmp_path, sample_file, capsys):
+        out = tmp_path / "parts.tsv"
+        out.write_text("old partition\n", encoding="utf-8")
+        (tmp_path / "parts.tsv.report.txt").write_text("old report\n", encoding="utf-8")
+        (tmp_path / "parts.tsv.report.tsv").mkdir()
+        assert main(["evaluate", "--input", str(sample_file), "--out", str(out)]) == 4
+        assert "parts.tsv.report.tsv" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "old partition\n"
+        assert (tmp_path / "parts.tsv.report.txt").read_text(encoding="utf-8") == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "parts.tsv", "parts.tsv.report.tsv", "parts.tsv.report.txt", "words.tsv",
+        ]
+
     def test_separate_gold_file(self, tmp_path):
         unlabelled = SAMPLE.replace("\tc1", "\t").replace("\tc2", "\t")
         inp = tmp_path / "in.tsv"
@@ -201,6 +214,16 @@ class TestEvaluate:
         inp.write_text(unlabelled, encoding="utf-8")
         assert main(["evaluate", "--input", str(inp)]) == 0
         assert "no gold" in capsys.readouterr().err
+
+    def test_no_gold_still_writes_the_partition(self, tmp_path, capsys):
+        unlabelled = SAMPLE.replace("\tc1", "\t").replace("\tc2", "\t")
+        inp = tmp_path / "in.tsv"
+        inp.write_text(unlabelled, encoding="utf-8")
+        out = tmp_path / "parts.tsv"
+        assert main(["evaluate", "--input", str(inp), "--out", str(out)]) == 0
+        assert "no gold" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8").startswith("meaning\tlanguage\t")
+        assert not (tmp_path / "parts.tsv.report.txt").exists()
 
     def test_percent_flag(self, tmp_path, sample_file):
         out = tmp_path / "parts.tsv"

@@ -18,7 +18,7 @@ from cogclust import (
     pearson,
 )
 
-from oracles import crp_reference
+from oracles import crp_reference, flat_reference
 
 
 def symmetric(entries, n):
@@ -312,6 +312,21 @@ class TestFlatThreshold:
 
     def test_single_item(self):
         assert flat_cluster_threshold(np.zeros((1, 1)), 1.0).k == 1
+
+    def test_matches_the_reference(self):
+        # Integer values for even n, dyadic ones (k/8) for odd n: every sum is
+        # exact in any order, so the order of addition cannot decide a merge.
+        rng = np.random.default_rng(71)
+        for n in [*range(1, 41), 120]:
+            denominator = 8 if n % 2 else 1
+            raw = rng.integers(0, 3 * denominator + 1, size=(n, n)) / denominator
+            s = np.triu(raw) + np.triu(raw, 1).T
+            entries = rng.choice(s.ravel(), size=2).tolist()  # exact ties
+            # The reference takes about 0.4 s per threshold at n = 120.
+            thresholds = (0.0, 0.5, 1.0, 2.5, *entries) if n <= 40 else entries
+            for threshold in thresholds:
+                got = flat_cluster_threshold(s, threshold).labels
+                assert list(got) == flat_reference(s.tolist(), threshold), (n, threshold)
 
     def test_nan_threshold_rejected(self):
         s = symmetric([(0, 1, 5.0)], 3)
