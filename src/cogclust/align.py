@@ -10,13 +10,15 @@ symmetric, non-negative (clamped at zero) and bitwise deterministic for fixed
 inputs.
 
 One numpy kernel, ``_gotoh_batch``, runs the recurrence over a batch of word
-pairs at once: all pairs of a meaning for ``similarity_matrix``, in chunks of
-``_CHUNK_PAIRS``, and a batch of one for ``nw_score``. Every max keeps its
-first candidate unless a later one is strictly greater (``a if a >= b else
-b``, then ``c`` only if ``c >`` that), spelled out with comparisons and
-masked copies. ``np.maximum`` is not used because numpy does not fix which
-zero it returns for ``max(-0.0, 0.0)``, and the sign of a zero score is part
-of ``nw_score``'s result."""
+pairs at once: all pairs of a meaning's distinct transcriptions for
+``similarity_matrix``, in chunks of ``_CHUNK_PAIRS``, and a batch of one for
+``nw_score``. ``similarity_matrix`` aligns each distinct transcription of a
+meaning once and gathers the repeats from that distinct-form matrix. Every
+max keeps its first candidate unless a later one is strictly greater (``a if
+a >= b else b``, then ``c`` only if ``c >`` that), spelled out with
+comparisons and masked copies. ``np.maximum`` is not used because numpy does
+not fix which zero it returns for ``max(-0.0, 0.0)``, and the sign of a zero
+score is part of ``nw_score``'s result."""
 
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -280,13 +282,19 @@ def similarity_matrix(
     if len(meanings) > 1:
         raise ValidationError(f"forms span several meanings: {sorted(meanings)}")
     words = [f.segments for f in forms]
-    codes = [scorer._encode(w) for w in words]
-
-    # Align the upper triangle, self pairs included, in one batch and mirror it.
-    n = len(words)
-    rows, cols = np.triu_indices(n)
-    raw = np.empty((n, n))
-    raw[rows, cols] = raw[cols, rows] = _gotoh_batch(
+    # A score depends only on the two words, so number the distinct words by
+    # first appearance, align their upper triangle (self pairs included) in
+    # one batch, mirror it, and gather every form's row and column from it.
+    # A pair may be read in the other order than it was aligned; the two
+    # orders differ at most in the sign of a zero, which the clamp maps to
+    # 0.0 (test_signed_zeros_follow_the_scalar_tie_rule checks every order).
+    index: dict[str, int] = {}
+    inv = [index.setdefault(w, len(index)) for w in words]
+    codes = [scorer._encode(w) for w in index]
+    d = len(codes)
+    rows, cols = np.triu_indices(d)
+    distinct = np.empty((d, d))
+    distinct[rows, cols] = distinct[cols, rows] = _gotoh_batch(
         codes,
         rows,
         cols,
@@ -294,6 +302,7 @@ def similarity_matrix(
         scorer.gaps.gap_open,
         scorer.gaps.gap_extend,
     )
+    raw = distinct[np.ix_(inv, inv)]
     if normalize:
         self_raw = raw.diagonal().copy()
         for word, s in zip(words, self_raw.tolist()):

@@ -136,6 +136,7 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     np.fill_diagonal(sims, 0.0)  # a word's own entry adds 0.0 to its label's sum
     labels = np.arange(n)  # the whole cluster state: one label per word
     averaging = cfg.linkage == "average"
+    alpha = cfg.alpha
     history: list[int] = []
     for _ in range(cfg.max_scans):
         changes = 0
@@ -147,12 +148,13 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
             # An empty label scores 0, and alpha > 0, so it never wins.
             if averaging:
                 # bincount adds each label's weights in word-index order
-                linkage = np.bincount(labels, weights=row) / np.maximum(sizes, 1)
+                linkage = np.bincount(labels, weights=row)
+                linkage /= np.maximum(sizes, 1)
             else:
                 linkage = np.zeros(len(sizes))
                 np.maximum.at(linkage, labels, row)
-            best = int(np.argmax(linkage))  # the first maximum: lowest label
-            if linkage[best] >= cfg.alpha:
+            best = int(linkage.argmax())  # the first maximum: lowest label
+            if linkage[best] >= alpha:
                 new = best
             elif sizes[old] == 0:
                 # Re-use the label of a just-emptied singleton so that a

@@ -29,18 +29,22 @@ def open_sink(sink: str | os.PathLike | IO):
     atomically, in UTF-8 with ``\\n`` line ends: the text goes to a temporary
     file in the same directory, which replaces the path on a clean exit and
     is removed if the block raises, so the path holds either its old bytes
-    or all of the new ones. A path that names something other than a regular
-    file (a symbolic link, a device, a FIFO) is written in place.
+    or all of the new ones. A symbolic link to a regular file or to nothing
+    stays a link: the file it resolves to is the one replaced. A path that
+    leads to anything else (a device, a FIFO, ``/dev/stdout``) is written in
+    place.
     """
     if hasattr(sink, "write"):
         return nullcontext(sink)
     path = os.fspath(sink)
     try:
-        existing = os.lstat(path)
+        existing = os.stat(path)  # of a link's target
     except FileNotFoundError:
         existing = None
     if existing is not None and not stat.S_ISREG(existing.st_mode):
         return open(path, "w", encoding="utf-8", newline="\n")
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     return _replacing_sink(path, existing)
 
 

@@ -15,6 +15,7 @@ from cogclust import (
     similarity_matrix,
 )
 
+from cogclust import align
 from cogclust.align import _CHUNK_PAIRS
 from oracles import alignment_best_score
 
@@ -231,9 +232,11 @@ class TestSimilarityMatrix:
 
     def test_normalize_rejects_non_positive_self_similarity(self):
         m = Scorer(("a", "b"), [[-1.0, -2.0], [-2.0, 3.0]])
-        forms = [WordForm("A", "M", "a"), WordForm("B", "M", "b")]
-        with pytest.raises(ValidationError, match="self-similarity"):
-            similarity_matrix(forms, m, normalize=True)
+        # The second list repeats the bad word, after a word seen before it.
+        for words in (["a", "b"], ["b", "a", "b", "a"]):
+            forms = [WordForm(f"L{i}", "M", w) for i, w in enumerate(words)]
+            with pytest.raises(ValidationError, match="word 'a' has non-positive self-similarity -1.0"):
+                similarity_matrix(forms, m, normalize=True)
 
     def test_tsv_dump_round_trips_values(self):
         forms = table1_all_forms()
@@ -305,23 +308,53 @@ def mixed_forms(rng, count, max_len):
     return [WordForm(f"L{i}", "M", w) for i, w in enumerate(words)]
 
 
+def transposing_forms():
+    """Repeated words in an order that makes the gather transpose pairs.
+
+    "b" is seen before "a", so forms 1 and 2 ("a", "b") read the distinct
+    pair that the kernel aligned as ("b", "a").
+    """
+    words = ["b", "a", "b", "c", "a", "cab", "b", "cab"]
+    return [WordForm(f"T{i}", "M", w) for i, w in enumerate(words)]
+
+
+def distinct_pairs(forms):
+    d = len({f.segments for f in forms})
+    return d * (d + 1) // 2
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_matrix_equals_enumeration_across_chunks(self, case):
         scorer = KERNEL_CASES[case]
-        forms = mixed_forms(np.random.default_rng(3), 48, 4)
-        assert len(forms) * (len(forms) + 1) // 2 > _CHUNK_PAIRS
-        sm = similarity_matrix(forms, scorer)
-        oracle = {}
-        for i, fi in enumerate(forms):
-            for j, fj in enumerate(forms):
-                key = (fi.segments, fj.segments)
-                if key not in oracle:
-                    oracle[key] = alignment_best_score(
-                        *key, scorer.substitution, scorer.gaps.gap_open, scorer.gaps.gap_extend
-                    )
-                raw = oracle[key]
-                assert same_bits(sm.values[i, j], raw if raw > 0 else 0.0), (case, key)
+        forms = mixed_forms(np.random.default_rng(3), 80, 4)
+        assert distinct_pairs(forms) > _CHUNK_PAIRS
+        for forms in (forms, transposing_forms()):
+            sm = similarity_matrix(forms, scorer)
+            oracle = {}
+            for i, fi in enumerate(forms):
+                for j, fj in enumerate(forms):
+                    key = (fi.segments, fj.segments)
+                    if key not in oracle:
+                        oracle[key] = alignment_best_score(
+                            *key, scorer.substitution, scorer.gaps.gap_open, scorer.gaps.gap_extend
+                        )
+                    raw = oracle[key]
+                    assert same_bits(sm.values[i, j], raw if raw > 0 else 0.0), (case, key)
+
+    def test_each_distinct_word_pair_is_aligned_once(self, monkeypatch):
+        aligned = []
+        kernel = align._gotoh_batch
+
+        def counting(codes, first, *rest):
+            aligned.append(len(first))
+            return kernel(codes, first, *rest)
+
+        monkeypatch.setattr(align, "_gotoh_batch", counting)
+        for forms in (transposing_forms(), mixed_forms(np.random.default_rng(3), 80, 4)):
+            aligned.clear()
+            similarity_matrix(forms, vanilla())
+            assert aligned == [distinct_pairs(forms)]  # one call, d(d + 1) / 2 pairs
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_empty_words_equal_enumeration(self, case):
@@ -347,8 +380,12 @@ class TestBatchedKernel:
             for a in words:
                 for b in words:
                     assert same_bits(nw_score(a, b, scorer), scalar_gotoh(a, b, scorer)), (trial, a, b)
-            sm = similarity_matrix(forms, scorer)
-            for i, fi in enumerate(forms):
-                for j, fj in enumerate(forms):
-                    want = np.maximum(scalar_gotoh(fi.segments, fj.segments, scorer), 0.0)
-                    assert same_bits(sm.values[i, j], want), (trial, i, j)
+            if trial == 0:  # enough distinct words for two chunks
+                forms += mixed_forms(np.random.default_rng(50), 40, 5)
+                assert distinct_pairs(forms) > _CHUNK_PAIRS
+            for forms in (forms, transposing_forms()):
+                sm = similarity_matrix(forms, scorer)
+                for i, fi in enumerate(forms):
+                    for j, fj in enumerate(forms):
+                        want = np.maximum(scalar_gotoh(fi.segments, fj.segments, scorer), 0.0)
+                        assert same_bits(sm.values[i, j], want), (trial, i, j)

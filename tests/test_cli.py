@@ -183,16 +183,25 @@ class TestEvaluate:
         assert "metadata\tmeanings_without_gold\t0" in kv
 
     def test_unwritable_report_leaves_every_output_as_it_was(self, tmp_path, sample_file, capsys):
-        out = tmp_path / "parts.tsv"
-        out.write_text("old partition\n", encoding="utf-8")
-        (tmp_path / "parts.tsv.report.txt").write_text("old report\n", encoding="utf-8")
-        (tmp_path / "parts.tsv.report.tsv").mkdir()
-        assert main(["evaluate", "--input", str(sample_file), "--out", str(out)]) == 4
-        assert "parts.tsv.report.tsv" in capsys.readouterr().err
-        assert out.read_text(encoding="utf-8") == "old partition\n"
-        assert (tmp_path / "parts.tsv.report.txt").read_text(encoding="utf-8") == "old report\n"
+        (tmp_path / "target.txt").write_text("old report\n", encoding="utf-8")
+        for name, report in (("parts.tsv", None), ("linked.tsv", "target.txt")):
+            out = tmp_path / name
+            out.write_text("old partition\n", encoding="utf-8")
+            txt = tmp_path / f"{name}.report.txt"
+            if report is None:
+                txt.write_text("old report\n", encoding="utf-8")
+            else:  # a link's target is kept too, and the link stays a link
+                txt.symlink_to(report)
+            (tmp_path / f"{name}.report.tsv").mkdir()
+            assert main(["evaluate", "--input", str(sample_file), "--out", str(out)]) == 4
+            assert f"{name}.report.tsv" in capsys.readouterr().err
+            assert out.read_text(encoding="utf-8") == "old partition\n"
+            assert txt.read_text(encoding="utf-8") == "old report\n"
+            assert txt.is_symlink() == (report is not None)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "parts.tsv", "parts.tsv.report.tsv", "parts.tsv.report.txt", "words.tsv",
+            "linked.tsv", "linked.tsv.report.tsv", "linked.tsv.report.txt",
+            "parts.tsv", "parts.tsv.report.tsv", "parts.tsv.report.txt",
+            "target.txt", "words.tsv",
         ]
 
     def test_separate_gold_file(self, tmp_path):

@@ -43,10 +43,31 @@ def test_symbolic_link_is_written_through(tmp_path):
     target.write_bytes(b"old\n")
     link = tmp_path / "link.tsv"
     link.symlink_to(target)
+    with pytest.raises(RuntimeError):  # the target is replaced, not truncated
+        with open_sink(link) as fh:
+            fh.write("new\n")
+            raise RuntimeError("fails midway")
+    assert target.read_bytes() == b"old\n"
     with open_sink(link) as fh:
         fh.write("new\n")
     assert link.is_symlink()
     assert target.read_bytes() == b"new\n"
+
+    dangling = tmp_path / "dangling.tsv"
+    dangling.symlink_to("made.tsv")  # relative to the link's directory
+    with open_sink(dangling) as fh:
+        fh.write("made\n")
+    assert dangling.is_symlink()
+    assert (tmp_path / "made.tsv").read_bytes() == b"made\n"
+
+    device = tmp_path / "null"
+    device.symlink_to(os.devnull)
+    with open_sink(device) as fh:  # written in place, not replaced
+        fh.write("gone\n")
+    assert device.is_symlink() and os.path.realpath(device) == os.path.realpath(os.devnull)
+    assert sorted(os.listdir(tmp_path)) == [
+        "dangling.tsv", "link.tsv", "made.tsv", "null", "target.tsv",
+    ]
 
 
 def test_open_file_is_used_as_given_and_left_open():
