@@ -312,6 +312,6 @@ def similarity_matrix(
                     f"self-similarity {s!r}"
                 )
         raw = raw / ((self_raw[:, None] + self_raw[None, :]) / 2.0)
-    values = np.maximum(raw, 0.0)
+    values = np.where(raw > 0, raw, 0.0)  # every non-positive score gives +0.0
     values.setflags(write=False)
     return SimilarityMatrix(values=values, forms=tuple(forms))

@@ -10,11 +10,18 @@ or after ``max_scans`` passes.
 A conventional agglomerative average-linkage baseline with a stopping
 threshold is provided for comparison.
 
-Both clusterers keep one cluster label per word as their whole membership
-state. The scan's average linkage sums each cluster's similarities in
-word-index order, one rounding per addition, so partitions do not depend on
-the Python version. A ``shuffle_seed`` scan order still comes from numpy's
-``Generator`` stream.
+The scan's state is one cluster label per word plus each label's running
+size, updated only when a word moves. Its average linkage sums each cluster's
+similarities in word-index order, one rounding per addition, so partitions do
+not depend on the Python version. Single linkage needs no sums: the matrix is
+fixed, so a word's best clusters are those of its nearest neighbours (the
+words at its row maximum), and it joins the lowest of their labels when that
+maximum reaches ``alpha``. A new cluster takes the label one above the
+highest in use; emptied labels below it are not filled, so labels can climb
+past the number of words before the final dense renumbering. A
+``shuffle_seed`` scan order still comes from numpy's ``Generator`` stream.
+
+The baseline keeps one cluster label per word as its whole membership state.
 """
 
 import operator
@@ -133,41 +140,71 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     else:
         order = [int(w) for w in np.random.default_rng(cfg.shuffle_seed).permutation(n)]
 
-    np.fill_diagonal(sims, 0.0)  # a word's own entry adds 0.0 to its label's sum
-    labels = np.arange(n)  # the whole cluster state: one label per word
+    # A word's own entry adds 0.0 to its label's sum, and as alpha > 0 the
+    # word is never its own nearest neighbour.
+    np.fill_diagonal(sims, 0.0)
     averaging = cfg.linkage == "average"
     alpha = cfg.alpha
+    if not averaging:
+        # The matrix never changes, so a word's single linkage is highest at
+        # the labels of the words at its row maximum: its nearest neighbours,
+        # or none when that maximum is below alpha.
+        top = sims.max(axis=1)
+        hit_rows, hit_cols = np.nonzero((sims == top[:, None]) & (top >= alpha)[:, None])
+        nearest: list[list[int]] = [[] for _ in range(n)]
+        for w, j in zip(hit_rows.tolist(), hit_cols.tolist()):
+            nearest[w].append(j)
+    labels = np.arange(n)  # the whole cluster state: one label per word
+    lab = labels.tolist()  # the same labels, read without numpy scalars
+    # Members per label and max(size, 1) as divisors, updated when a word
+    # moves. A new label never fills a gap below the highest label in use,
+    # so labels can climb past n, and both grow when one reaches their length.
+    sizes = [1] * n
+    divisors = np.ones(n)
     history: list[int] = []
     for _ in range(cfg.max_scans):
         changes = 0
         for w in order:
-            old = int(labels[w])
-            row = sims[w]
-            sizes = np.bincount(labels)
-            sizes[old] -= 1  # the word itself is out of its cluster
-            # An empty label scores 0, and alpha > 0, so it never wins.
+            old = lab[w]
             if averaging:
-                # bincount adds each label's weights in word-index order
-                linkage = np.bincount(labels, weights=row)
-                linkage /= np.maximum(sizes, 1)
+                shared = sizes[old] > 1
+                if shared:
+                    divisors[old] = sizes[old] - 1  # the word is out of its cluster
+                # bincount adds each label's weights in word-index order. An
+                # empty label scores 0, and alpha > 0, so it never wins.
+                linkage = np.bincount(labels, weights=sims[w])
+                linkage /= divisors[: len(linkage)]
+                if shared:
+                    divisors[old] = sizes[old]
+                best = int(linkage.argmax())  # the first maximum: lowest label
+                join = linkage.item(best) >= alpha
             else:
-                linkage = np.zeros(len(sizes))
-                np.maximum.at(linkage, labels, row)
-            best = int(linkage.argmax())  # the first maximum: lowest label
-            if linkage[best] >= alpha:
+                peers = nearest[w]
+                join = bool(peers)
+                if join:
+                    best = min([lab[j] for j in peers])  # ties: lowest label
+            if join:
                 new = best
-            elif sizes[old] == 0:
+            elif sizes[old] == 1:
                 # Re-use the label of a just-emptied singleton so that a
                 # zero-change scan leaves the label state untouched.
                 new = old
             else:
-                new = len(sizes)  # one above the highest label in use
-            labels[w] = new
-            changes += new != old  # peers change exactly when the label does
+                new = max(lab) + 1  # one above the highest label in use
+            if new != old:
+                if new == len(sizes):
+                    sizes += [0] * len(sizes)
+                    divisors = np.concatenate((divisors, np.ones(len(divisors))))
+                sizes[old] -= 1
+                sizes[new] += 1
+                divisors[old] = max(sizes[old], 1)
+                divisors[new] = sizes[new]
+                lab[w] = labels[w] = new
+                changes += 1  # peers change exactly when the label does
         history.append(changes)
         if changes == 0:
             break
-    return Partition.from_labels(labels.tolist()), history
+    return Partition.from_labels(lab), history
 
 
 def crp_cluster(sim, config: CrpConfig | None = None) -> Partition:

@@ -7,7 +7,6 @@ in meaning order, making output independent of worker scheduling.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import IO, Sequence
 
@@ -75,6 +74,10 @@ def cluster_wordlist(
     jobs = min(usable if jobs is None else jobs, usable, len(meanings))
     if jobs <= 1:
         return {m: work(wordlist.forms_for_meaning(m)) for m in meanings}
+    # Imported here: the pool pulls in multiprocessing, which a serial run
+    # never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(meanings) // (jobs * 4))
     # Workers get meaning names, not forms: each already holds the word list.
     with ProcessPoolExecutor(

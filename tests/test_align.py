@@ -387,5 +387,6 @@ class TestBatchedKernel:
                 sm = similarity_matrix(forms, scorer)
                 for i, fi in enumerate(forms):
                     for j, fj in enumerate(forms):
-                        want = np.maximum(scalar_gotoh(fi.segments, fj.segments, scorer), 0.0)
-                        assert same_bits(sm.values[i, j], want), (trial, i, j)
+                        raw = scalar_gotoh(fi.segments, fj.segments, scorer)
+                        # A non-positive score, -0.0 included, clamps to +0.0.
+                        assert same_bits(sm.values[i, j], raw if raw > 0 else 0.0), (trial, i, j)

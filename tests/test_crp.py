@@ -156,6 +156,34 @@ class TestCrpAgainstReference:
         part = crp_cluster(s, CrpConfig(alpha=0.01))
         assert list(part.labels) == crp_reference(s.tolist())
 
+    def test_single_linkage_tie_across_clusters_goes_to_lowest_label(self):
+        # When w3 is visited, its nearest neighbours are w1 (label 1) and w2
+        # (label 0, shared with w0); the first neighbour by word index would
+        # put it with w1 instead.
+        s = symmetric([(0, 2, 3.0), (1, 3, 2.0), (2, 3, 2.0)], 4)
+        config = CrpConfig(alpha=1.0, max_scans=1, linkage="single")
+        part = crp_cluster(s, config)
+        assert part.labels == (0, 1, 0, 0)
+        assert list(part.labels) == crp_reference(
+            s.tolist(), alpha=1.0, max_scans=1, linkage="single"
+        )
+
+    def test_labels_climb_past_the_word_count(self):
+        # The scan never settles: w0, w3 and w4 trade places, two moves per
+        # scan, and every other scan one of them opens a new cluster one above
+        # the highest label in use, so labels reach 29 for n = 5.
+        s = np.array([
+            [0, 0, 0, 1, 3],
+            [0, 3, 2, 0, 3],
+            [0, 2, 0, 2, 2],
+            [1, 0, 2, 1, 2],
+            [3, 3, 2, 2, 0],
+        ], dtype=float)
+        part, history = crp_cluster_with_history(s, CrpConfig(alpha=1.5, max_scans=50))
+        assert list(part.labels) == crp_reference(s.tolist(), alpha=1.5, max_scans=50)
+        assert part.labels == (0, 1, 1, 2, 0)
+        assert history == [4] + [2] * 49
+
 
 class TestCrpProperties:
     def test_always_a_valid_partition(self):

@@ -2,6 +2,8 @@
 
 import io
 import multiprocessing
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -103,7 +105,7 @@ class TestClusterWordlist:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         wl = WordList(
@@ -125,13 +127,21 @@ class TestClusterWordlist:
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
         context = multiprocessing.get_context(method)
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             partial(ProcessPoolExecutor, mp_context=context))
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         wl = sample_wordlist()
         scorer = Scorer.vanilla()
         assert cluster_wordlist(wl, scorer, jobs=2) == cluster_wordlist(wl, scorer, jobs=1)
+
+    def test_importing_the_cli_leaves_the_process_pool_out(self):
+        # The pool module pulls in multiprocessing; only a run with jobs > 1
+        # should pay for importing it.
+        code = "import sys, cogclust.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestGoldPartitions:
