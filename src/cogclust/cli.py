@@ -28,7 +28,7 @@ from .errors import (
 from .evaluate import evaluate_dataset, render_report, render_report_kv
 from .pipeline import SYNONYM_POLICY, cluster_wordlist, gold_partitions, write_partitions
 from .pmi import DEFAULT_SMOOTHING, estimate_pmi, load_pmi, save_pmi
-from .textio import open_sink, read_text
+from .textio import open_sink, read_rows, read_text
 from .wordlist import parse_wordlist
 
 
@@ -138,14 +138,7 @@ def _meaning_filename(meaning: str) -> str:
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Execute one parsed subcommand; raises package errors for ``main`` to map."""
     if args.subcommand == "pmi-estimate":
-        pairs = []
-        for lineno, line in enumerate(read_text(args.input).split("\n"), start=1):
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"expected 2 columns, got {len(cols)}", line=lineno)
-            pairs.append((cols[0], cols[1]))
+        pairs = [row for _, row in read_rows(read_text(args.input).split("\n"), 2)]
         save_pmi(estimate_pmi(pairs, args.smoothing), args.out or sys.stdout)
         return 0
 

@@ -44,24 +44,19 @@ class Partition:
         if not self.labels:
             raise ValidationError("a partition needs at least one item")
         try:
-            labels = tuple(operator.index(lab) for lab in self.labels)
+            labels = tuple(map(operator.index, self.labels))
         except TypeError:
             raise ValidationError("cluster labels must be integers") from None
         object.__setattr__(self, "labels", labels)
         k = max(labels) + 1
-        if min(labels) < 0 or set(labels) != set(range(k)):
+        if min(labels) < 0 or len(set(labels)) != k:
             raise ValidationError(f"labels are not contiguous 0..{k - 1}: {labels}")
 
     @classmethod
     def from_labels(cls, raw_labels) -> "Partition":
         """Renumber arbitrary hashable labels densely by first appearance."""
         mapping: dict = {}
-        out = []
-        for lab in raw_labels:
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            out.append(mapping[lab])
-        return cls(tuple(out))
+        return cls(tuple(mapping.setdefault(lab, len(mapping)) for lab in raw_labels))
 
     @property
     def n(self) -> int:
@@ -80,12 +75,7 @@ class Partition:
 
     def same_clustering(self, other: "Partition") -> bool:
         """Set-partition equality; label values are immaterial."""
-        if self.n != other.n:
-            return False
-        return (
-            Partition.from_labels(self.labels).labels
-            == Partition.from_labels(other.labels).labels
-        )
+        return Partition.from_labels(self.labels) == Partition.from_labels(other.labels)
 
 
 @dataclass(frozen=True)

@@ -155,25 +155,34 @@ def _fmt(value: float, percent: bool) -> str:
     return f"{100.0 * value:.2f}" if percent else f"{value:.4f}"
 
 
-def render_report(report: EvalReport, percent: bool = False) -> str:
-    """Human-readable table; ``percent`` switches to 100-scale, 2 decimals."""
-    header = ("meaning", "precision", "recall", "f_score", "pred_K", "true_K")
+def _report_cells(report: EvalReport, percent: bool):
+    """Every formatted value of a report, for both renderings.
+
+    Rows are (name, precision, recall, f_score, predicted K, true K), one per
+    meaning and then the aggregate, whose counts are empty. The trailing
+    cells are key cells followed by their value.
+    """
+
+    def scores(s: BcubedScore) -> tuple[str, str, str]:
+        return _fmt(s.precision, percent), _fmt(s.recall, percent), _fmt(s.f_score, percent)
+
     rows = [
-        (
-            meaning,
-            _fmt(e.score.precision, percent),
-            _fmt(e.score.recall, percent),
-            _fmt(e.score.f_score, percent),
-            str(e.predicted_k),
-            str(e.true_k),
-        )
+        (meaning, *scores(e.score), str(e.predicted_k), str(e.true_k))
         for meaning, e in report.per_meaning.items()
     ]
-    agg = report.aggregate
-    rows.append(
-        ("aggregate", _fmt(agg.precision, percent), _fmt(agg.recall, percent),
-         _fmt(agg.f_score, percent), "", "")
-    )
+    rows.append(("aggregate", *scores(report.aggregate), "", ""))
+    trailing = [
+        ("cluster_count_correlation", _fmt(report.cluster_count_correlation, percent)),
+        ("meanings_evaluated", str(len(report.per_meaning))),
+        *(("metadata", f"{key}", f"{report.metadata[key]}") for key in sorted(report.metadata)),
+    ]
+    return rows, trailing
+
+
+def render_report(report: EvalReport, percent: bool = False) -> str:
+    """Human-readable table; ``percent`` switches to 100-scale, 2 decimals."""
+    rows, trailing = _report_cells(report, percent)
+    header = ("meaning", "precision", "recall", "f_score", "pred_K", "true_K")
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(6)]
     lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(header)).rstrip()]
     for r in rows:
@@ -183,32 +192,19 @@ def render_report(report: EvalReport, percent: bool = False) -> str:
             + "  ".join(r[c].rjust(widths[c]) for c in range(1, 6)).rstrip()
         )
     lines.append("")
-    lines.append(
-        f"cluster_count_correlation  {_fmt(report.cluster_count_correlation, percent)}"
-    )
-    lines.append(f"meanings_evaluated  {len(report.per_meaning)}")
-    for key in sorted(report.metadata):
-        lines.append(f"{key}  {report.metadata[key]}")
+    lines.extend("  ".join(cells[-2:]) for cells in trailing)
     return "\n".join(lines) + "\n"
 
 
 def render_report_kv(report: EvalReport, percent: bool = False) -> str:
     """Machine-readable tab-separated key/value lines."""
-    lines = []
-    for meaning, e in report.per_meaning.items():
-        lines.append(f"meaning\t{meaning}\tprecision\t{_fmt(e.score.precision, percent)}")
-        lines.append(f"meaning\t{meaning}\trecall\t{_fmt(e.score.recall, percent)}")
-        lines.append(f"meaning\t{meaning}\tf_score\t{_fmt(e.score.f_score, percent)}")
-        lines.append(f"meaning\t{meaning}\tpredicted_k\t{e.predicted_k}")
-        lines.append(f"meaning\t{meaning}\ttrue_k\t{e.true_k}")
-    agg = report.aggregate
-    lines.append(f"aggregate\tprecision\t{_fmt(agg.precision, percent)}")
-    lines.append(f"aggregate\trecall\t{_fmt(agg.recall, percent)}")
-    lines.append(f"aggregate\tf_score\t{_fmt(agg.f_score, percent)}")
-    lines.append(
-        f"cluster_count_correlation\t{_fmt(report.cluster_count_correlation, percent)}"
-    )
-    lines.append(f"meanings_evaluated\t{len(report.per_meaning)}")
-    for key in sorted(report.metadata):
-        lines.append(f"metadata\t{key}\t{report.metadata[key]}")
+    rows, trailing = _report_cells(report, percent)
+    fields = ("precision", "recall", "f_score", "predicted_k", "true_k")
+    lines = [
+        f"meaning\t{name}\t{field}\t{value}"
+        for name, *values in rows[:-1]
+        for field, value in zip(fields, values)
+    ]
+    lines.extend(f"aggregate\t{field}\t{value}" for field, value in zip(fields, rows[-1][1:4]))
+    lines.extend("\t".join(cells) for cells in trailing)
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ def cluster_meaning(
     sims = similarity_matrix(forms, scorer, normalize=normalize)
     if threshold is not None:
         return flat_cluster_threshold(sims, threshold)
-    return crp_cluster(sims, config or CrpConfig())
+    return crp_cluster(sims, config)
 
 
 _JOB: tuple | None = None

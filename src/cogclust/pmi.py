@@ -30,7 +30,7 @@ import numpy as np
 from .align import Scorer
 from .alphabet import ASJP_SOUNDS, GAP
 from .errors import DegenerateInputError, MatrixFormatError, ValidationError
-from .textio import open_sink, read_text
+from .textio import open_sink, read_rows, read_text
 
 DEFAULT_SMOOTHING = 0.1
 
@@ -123,13 +123,9 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
     n = len(symbols)
     scores = np.zeros((n, n), dtype=float)
     filled = np.zeros((n, n), dtype=bool)
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw == "":
-            continue
-        row = raw.split("\t")
-        if len(row) != 3:
-            raise MatrixFormatError(f"expected 3 columns, got {len(row)}", line=lineno)
-        a, b, text_value = row
+    for lineno, (a, b, text_value) in read_rows(
+        lines[1:], 3, start=2, error=MatrixFormatError
+    ):
         if a not in index:
             raise MatrixFormatError(f"symbol {a!r} is not in the alphabet", line=lineno)
         if b not in index:

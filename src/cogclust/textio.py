@@ -1,25 +1,53 @@
-"""UTF-8 text sources and sinks shared by the file readers and writers."""
+"""UTF-8 text sources and sinks shared by the file readers and writers.
+
+This module owns the rules every text input shares: how its bytes are decoded
+(``read_text``) and how a line becomes a row of fields (``read_rows``).
+"""
 
 import os
 import stat
 from contextlib import contextmanager, nullcontext, suppress
-from typing import IO
+from typing import IO, Iterator, Sequence
+
+from .errors import ParseError
 
 
 def read_text(source: str | os.PathLike | IO) -> str:
     """Whole text of a path or an open text or binary file, minus a leading BOM.
 
-    Line ends are ``\\n`` whatever the source: ``\\r\\n`` and a lone ``\\r``
-    are read as ``\\n``, as ``open()`` reads a path.
+    Bytes are decoded as UTF-8, and bytes that are not UTF-8 raise a
+    ``ParseError`` naming their line. Line ends are ``\\n`` whatever the
+    source: ``\\r\\n`` and a lone ``\\r`` are read as ``\\n``.
     """
     if hasattr(source, "read"):
         data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     else:
-        with open(os.fspath(source), encoding="utf-8") as fh:
-            text = fh.read()
-    return text.removeprefix("\ufeff")
+        with open(os.fspath(source), "rb") as fh:
+            data = fh.read()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bad byte is no line end, so it ends the last line counted.
+            raise ParseError(
+                f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                line=len(data[: exc.start + 1].splitlines()),
+            ) from None
+    return data.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
+
+
+def read_rows(
+    lines: Sequence[str], ncols: int, *, start: int = 1, error: type[ParseError] = ParseError
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-empty line, numbered from
+    ``start``; a line without exactly ``ncols`` tab-separated fields raises
+    ``error`` with its line number."""
+    for lineno, line in enumerate(lines, start=start):
+        if line:
+            fields = line.split("\t")
+            if len(fields) != ncols:
+                raise error(f"expected {ncols} columns, got {len(fields)}", line=lineno)
+            yield lineno, fields
 
 
 def open_sink(sink: str | os.PathLike | IO):

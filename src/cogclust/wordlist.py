@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 from .alphabet import ASJP_SOUNDS, MODIFIER_CHARS
 from .errors import MeaningNotFoundError, ParseError, ValidationError
-from .textio import open_sink, read_text
+from .textio import open_sink, read_rows, read_text
 
 HEADER_COLUMNS = ("language", "concept", "transcription", "cognate_class")
 _REQUIRED_COLUMNS = ("language", "concept", "transcription")
@@ -140,15 +140,9 @@ def parse_wordlist(
         if name not in positions:
             raise ParseError(f"missing column {name!r} in header", line=1)
 
-    ncols = len(header)
     gold_at = positions.get("cognate_class")
     forms = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw == "":
-            continue
-        row = raw.split("\t")
-        if len(row) != ncols:
-            raise ParseError(f"expected {ncols} columns, got {len(row)}", line=lineno)
+    for lineno, row in read_rows(lines[1:], len(header), start=2):
         language = row[positions["language"]]
         meaning = row[positions["concept"]]
         word = row[positions["transcription"]]

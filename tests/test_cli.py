@@ -117,6 +117,26 @@ class TestCluster:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, first_line", [
+        (["cluster", "--input", "{bad}"], SAMPLE.split("\n")[0]),
+        (["evaluate", "--input", "{sample}", "--gold", "{bad}"], SAMPLE.split("\n")[0]),
+        (["cluster", "--input", "{sample}", "--scorer", "pmi", "--pmi-matrix", "{bad}"],
+         "alphabet\ta"),
+        (["pmi-estimate", "--input", "{bad}"], "ol\tal"),
+    ], ids=["cluster-input", "evaluate-gold", "pmi-matrix", "pmi-estimate-input"])
+    def test_bytes_that_are_not_utf8_exit_2(self, tmp_path, sample_file, capsys,
+                                            args, first_line):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(first_line.encode("utf-8") + b"\nx\xff\tALL\n")
+        out = tmp_path / "out.tsv"
+        out.write_bytes(b"old\n")
+        args = [a.format(bad=bad, sample=sample_file) for a in args]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cogclust: parse error: line 2: ")
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"old\n"
+
     def test_threshold_baseline_and_flags(self, tmp_path, sample_file):
         out = tmp_path / "parts.tsv"
         code = main([
@@ -288,8 +308,11 @@ class TestPmiEstimate:
 
     def test_bad_pair_file_exits_2(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
-        pairs.write_text("ol\tal\textra\n", encoding="utf-8")
+        pairs.write_text("ol\tal\n\nol\tal\textra\n", encoding="utf-8")
         assert main(["pmi-estimate", "--input", str(pairs)]) == 2
+        assert capsys.readouterr().err == (
+            "cogclust: parse error: line 3: expected 2 columns, got 3\n"
+        )
 
     def test_unequal_pair_lengths_exit_3(self, tmp_path):
         pairs = tmp_path / "pairs.tsv"

@@ -43,6 +43,8 @@ class TestPartition:
             Partition((1, 1))
         with pytest.raises(ValidationError):
             Partition(())
+        with pytest.raises(ValidationError, match="not contiguous"):
+            Partition((-1, 1))  # as many labels as 0..max, but not those
 
     def test_from_labels_renumbers_by_first_appearance(self):
         p = Partition.from_labels(["x", "y", "x", "z"])
@@ -57,6 +59,7 @@ class TestPartition:
     def test_same_clustering_ignores_label_values(self):
         assert Partition((0, 1, 0)).same_clustering(Partition((1, 0, 1)))
         assert not Partition((0, 1, 0)).same_clustering(Partition((0, 0, 1)))
+        assert not Partition((0, 1)).same_clustering(Partition((0, 1, 1)))
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValidationError):

@@ -236,3 +236,126 @@ class TestReportRendering:
         gold = {"A": Partition((0, 0, 1))}
         text = render_report(evaluate_dataset(gold, gold))
         assert "cluster_count_correlation  nan" in text
+
+
+def three_meaning_report():
+    predictions = {
+        "ALL": Partition((0, 0, 1, 1, 2)),
+        "AND": Partition((0, 1, 1)),
+        "tree bark": Partition((0, 0, 0, 0)),
+    }
+    gold = {
+        "ALL": Partition((0, 0, 1, 2, 2)),
+        "AND": Partition((0, 0, 1)),
+        "tree bark": Partition((0, 1, 1, 0)),
+    }
+    metadata = {"synonym_policy": "kept apart", "meanings_without_gold": 1}
+    return evaluate_dataset(predictions, gold, metadata=metadata)
+
+
+def nan_correlation_report():
+    predictions = {"A": Partition((0, 0, 1)), "B": Partition((0, 1, 1))}
+    gold = {"A": Partition((0, 0, 1)), "B": Partition((0, 1, 2))}
+    return evaluate_dataset(predictions, gold)
+
+
+class TestReportBytes:
+    """Both renderings, byte for byte, on fixed reports."""
+
+    def test_text_report(self):
+        report = three_meaning_report()
+        assert render_report(report) == (
+            "meaning    precision  recall  f_score  pred_K  true_K\n"
+            "ALL           0.8000  0.8000   0.8000       3       3\n"
+            "AND           0.6667  0.6667   0.6667       2       2\n"
+            "tree bark     0.5000  1.0000   0.6667       1       2\n"
+            "aggregate     0.6556  0.8222   0.7111\n"
+            "\n"
+            "cluster_count_correlation  0.8660\n"
+            "meanings_evaluated  3\n"
+            "meanings_without_gold  1\n"
+            "synonym_policy  kept apart\n"
+        )
+        assert render_report(report, percent=True) == (
+            "meaning    precision  recall  f_score  pred_K  true_K\n"
+            "ALL            80.00   80.00    80.00       3       3\n"
+            "AND            66.67   66.67    66.67       2       2\n"
+            "tree bark      50.00  100.00    66.67       1       2\n"
+            "aggregate      65.56   82.22    71.11\n"
+            "\n"
+            "cluster_count_correlation  86.60\n"
+            "meanings_evaluated  3\n"
+            "meanings_without_gold  1\n"
+            "synonym_policy  kept apart\n"
+        )
+
+    @pytest.mark.parametrize("percent, scores", [
+        (False, ("0.8000", "0.6667", "0.5000", "1.0000", "0.6667",
+                 "0.6556", "0.8222", "0.7111", "0.8660")),
+        (True, ("80.00", "66.67", "50.00", "100.00", "66.67",
+                "65.56", "82.22", "71.11", "86.60")),
+    ])
+    def test_kv_report(self, percent, scores):
+        all_, and_, bark_p, bark_r, bark_f, agg_p, agg_r, agg_f, corr = scores
+        assert render_report_kv(three_meaning_report(), percent=percent) == (
+            f"meaning\tALL\tprecision\t{all_}\n"
+            f"meaning\tALL\trecall\t{all_}\n"
+            f"meaning\tALL\tf_score\t{all_}\n"
+            "meaning\tALL\tpredicted_k\t3\n"
+            "meaning\tALL\ttrue_k\t3\n"
+            f"meaning\tAND\tprecision\t{and_}\n"
+            f"meaning\tAND\trecall\t{and_}\n"
+            f"meaning\tAND\tf_score\t{and_}\n"
+            "meaning\tAND\tpredicted_k\t2\n"
+            "meaning\tAND\ttrue_k\t2\n"
+            f"meaning\ttree bark\tprecision\t{bark_p}\n"
+            f"meaning\ttree bark\trecall\t{bark_r}\n"
+            f"meaning\ttree bark\tf_score\t{bark_f}\n"
+            "meaning\ttree bark\tpredicted_k\t1\n"
+            "meaning\ttree bark\ttrue_k\t2\n"
+            f"aggregate\tprecision\t{agg_p}\n"
+            f"aggregate\trecall\t{agg_r}\n"
+            f"aggregate\tf_score\t{agg_f}\n"
+            f"cluster_count_correlation\t{corr}\n"
+            "meanings_evaluated\t3\n"
+            "metadata\tmeanings_without_gold\t1\n"
+            "metadata\tsynonym_policy\tkept apart\n"
+        )
+
+    def test_nan_correlation_without_metadata(self):
+        report = nan_correlation_report()
+        assert render_report(report) == (
+            "meaning    precision  recall  f_score  pred_K  true_K\n"
+            "A             1.0000  1.0000   1.0000       2       2\n"
+            "B             0.6667  1.0000   0.8000       2       3\n"
+            "aggregate     0.8333  1.0000   0.9000\n"
+            "\n"
+            "cluster_count_correlation  nan\n"
+            "meanings_evaluated  2\n"
+        )
+        assert render_report(report, percent=True) == (
+            "meaning    precision  recall  f_score  pred_K  true_K\n"
+            "A             100.00  100.00   100.00       2       2\n"
+            "B              66.67  100.00    80.00       2       3\n"
+            "aggregate      83.33  100.00    90.00\n"
+            "\n"
+            "cluster_count_correlation  nan\n"
+            "meanings_evaluated  2\n"
+        )
+        assert render_report_kv(report, percent=True) == (
+            "meaning\tA\tprecision\t100.00\n"
+            "meaning\tA\trecall\t100.00\n"
+            "meaning\tA\tf_score\t100.00\n"
+            "meaning\tA\tpredicted_k\t2\n"
+            "meaning\tA\ttrue_k\t2\n"
+            "meaning\tB\tprecision\t66.67\n"
+            "meaning\tB\trecall\t100.00\n"
+            "meaning\tB\tf_score\t80.00\n"
+            "meaning\tB\tpredicted_k\t2\n"
+            "meaning\tB\ttrue_k\t3\n"
+            "aggregate\tprecision\t83.33\n"
+            "aggregate\trecall\t100.00\n"
+            "aggregate\tf_score\t90.00\n"
+            "cluster_count_correlation\tnan\n"
+            "meanings_evaluated\t2\n"
+        )

@@ -58,6 +58,12 @@ class TestLoadPmi:
         with pytest.raises(MatrixFormatError, match="alphabet"):
             load_pmi(io.StringIO("a b\n"))
 
+    def test_wrong_column_count_reports_line(self):
+        text = "alphabet\ta b\na\ta\t2.0\n\na\tb\n"
+        with pytest.raises(MatrixFormatError) as err:
+            load_pmi(io.StringIO(text))
+        assert str(err.value) == "line 4: expected 3 columns, got 2"
+
     def test_bad_score_value(self):
         text = "alphabet\ta\na\ta\tpotato\n"
         with pytest.raises(MatrixFormatError, match="potato"):

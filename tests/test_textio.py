@@ -1,11 +1,29 @@
-"""Text sinks: paths are replaced atomically, open files are used as given."""
+"""Text sources and sinks: bytes that are not UTF-8 are a parse error naming
+their line; paths are replaced atomically, open files are used as given."""
 
 import io
 import os
 
 import pytest
 
-from cogclust.textio import open_sink
+from cogclust import ParseError
+from cogclust.textio import open_sink, read_text
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xffa\n", 1),
+    (b"\xef\xbb\xbfa\rb\r\nc\n\xc3(\n", 4),  # a BOM, then every line end
+    (b"a\nb\r\xff", 3),
+    (b"a\n\xc3", 2),  # cut short at the end
+], ids=["first-line", "bom-and-every-line-end", "after-a-lone-cr", "cut-short"])
+def test_bytes_that_are_not_utf8_are_a_parse_error_naming_their_line(tmp_path, data, line):
+    path = tmp_path / "in.tsv"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(path.read_bytes())):
+        with pytest.raises(ParseError) as err:
+            read_text(source)
+        assert err.value.line == line
+        assert f"line {line}: not UTF-8: byte 0x" in str(err.value)
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):

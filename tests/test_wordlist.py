@@ -102,8 +102,15 @@ class TestParseErrors:
         assert "line 3" in str(err.value)
 
     def test_wrong_column_count_reports_line(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse(HEADER + "English\tALL\n")
+        with pytest.raises(ParseError) as err:
+            parse(HEADER + "English\tALL\tol\tc1\n\nEnglish\tALL\n")
+        assert str(err.value) == "line 4: expected 4 columns, got 2"
+
+    def test_bytes_that_are_not_utf8_name_their_line(self):
+        data = HEADER.replace("\n", "\r\n").encode("utf-8") + b"Engl\xffish\tALL\tol\tc1\n"
+        with pytest.raises(ParseError) as err:
+            parse_wordlist(io.BytesIO(data))
+        assert str(err.value).startswith("line 2: not UTF-8: byte 0xff")
 
     def test_empty_transcription(self):
         with pytest.raises(ValidationError, match="empty transcription"):
