@@ -131,15 +131,23 @@ def _build_scorer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return Scorer.vanilla(gaps=gaps)
 
 
-def _meaning_filename(meaning: str) -> str:
-    return urllib.parse.quote(meaning, safe="") + ".tsv"
-
-
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Execute one parsed subcommand; raises package errors for ``main`` to map."""
     if args.subcommand == "pmi-estimate":
-        pairs = [row for _, row in read_rows(read_text(args.input).split("\n"), 2)]
-        save_pmi(estimate_pmi(pairs, args.smoothing), args.out or sys.stdout)
+        rows = read_rows(read_text(args.input).split("\n"), 2)
+        lineno = None  # line of the pair being counted, None outside the rows
+
+        def pairs():
+            nonlocal lineno
+            for lineno, row in rows:
+                yield row
+            lineno = None
+
+        try:
+            table = estimate_pmi(pairs(), args.smoothing)
+        except ValidationError as exc:
+            raise (exc if lineno is None else ValidationError(str(exc), line=lineno)) from None
+        save_pmi(table, args.out or sys.stdout)
         return 0
 
     wordlist = parse_wordlist(args.input)
@@ -151,7 +159,8 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             table = similarity_matrix(
                 wordlist.forms_for_meaning(meaning), scorer, normalize=args.normalize
             )
-            with open_sink(os.path.join(args.out, _meaning_filename(meaning))) as fh:
+            name = urllib.parse.quote(meaning, safe="") + ".tsv"
+            with open_sink(os.path.join(args.out, name)) as fh:
                 table.to_tsv(fh)
         return 0
 

@@ -3,12 +3,15 @@
 A table is an ``align.Scorer``, the one substitution-table type; estimated
 and loaded tables carry default gaps, which ``Scorer.from_pmi`` replaces.
 
-The score of a segment pair (i, j) is ``log(p(i,j) / (q(i) * q(j)))`` where
-``p`` is the relative frequency of i and j sitting in the same column of the
-aligned word pairs ((i,j) and (j,i) are pooled) and ``q`` is the relative
-frequency of a segment over all non-gap positions of all aligned words. A
+The score of a segment pair (i, j) is ``log(p(i,j) / (q(i) * q(j)))``. Each
+aligned column is counted once, as the code ``left * (n + 1) + right`` of its
+two alphabet indices with the gap as index ``n``, in one ``bincount`` table.
+``p`` is the share of gap-free columns that hold i and j: the table's
+symbol block plus its transpose, the diagonal counted once, as (i, j) and
+(j, i) are pooled. ``q`` is the relative frequency of a segment over all
+non-gap positions: the table's row plus column sums, gap columns included. A
 positive score marks a pair that co-occurs above chance, a negative one below
-chance. Gap-aligned columns contribute to neither count; gaps are aligner
+chance, and ``-inf`` a pair never seen at smoothing 0. Gaps are aligner
 parameters, so the matrix file holds no gap scores.
 
 The matrix file format is plain UTF-8 text::
@@ -47,55 +50,45 @@ def estimate_pmi(
     plus ``"-"`` for gaps. ``smoothing`` is an additive pseudo-count applied
     to every unordered joint cell; marginals receive the pseudo-counts those
     joint cells induce (a symbol gains ``smoothing * (len(alphabet) + 1)``
-    pseudo-occurrences). With ``smoothing=0`` unobserved pairs score ``-inf``.
+    pseudo-occurrences). With ``smoothing=0`` unobserved pairs score ``-inf``,
+    as does an unobserved pair whose smoothed share underflows to 0.
     """
     if not 0 <= smoothing < math.inf:  # NaN fails too
         raise ValidationError("smoothing must be finite and >= 0")
     symbols = tuple(alphabet)
-    valid = frozenset(symbols)
-    joint: dict[tuple[str, str], int] = {}
-    marginal: dict[str, int] = {}
-    total_joint = 0
-    total_marginal = 0
-    for pair_no, (left, right) in enumerate(aligned_pairs):
-        if len(left) != len(right):
-            raise ValidationError(
-                f"aligned pair #{pair_no} has unequal lengths {len(left)} and {len(right)}"
-            )
-        for x, y in zip(left, right):
-            for s in (x, y):
-                if s != GAP:
-                    if s not in valid:
-                        raise ValidationError(f"segment {s!r} is not in the alphabet")
-                    marginal[s] = marginal.get(s, 0) + 1
-                    total_marginal += 1
-            if x != GAP and y != GAP:
-                key = (x, y) if x <= y else (y, x)
-                joint[key] = joint.get(key, 0) + 1
-                total_joint += 1
+    n = len(symbols)
+    m = n + 1  # codes per column side: the symbols, then the gap
+    code = {s: i for i, s in enumerate(symbols)} | {GAP: n}
+
+    def columns():
+        for left, right in aligned_pairs:
+            if len(left) != len(right):
+                raise ValidationError(
+                    f"aligned pair ({left!r}, {right!r}) has unequal lengths "
+                    f"{len(left)} and {len(right)}"
+                )
+            try:
+                yield from [code[x] * m + code[y] for x, y in zip(left, right)]
+            except KeyError as exc:
+                raise ValidationError(f"segment {exc.args[0]!r} is not in the alphabet") from None
+
+    counts = np.bincount(np.fromiter(columns(), dtype=np.intp), minlength=m * m).reshape(m, m)
+    seen = counts[:n, :n]
+    total_joint = int(seen.sum())
     if total_joint == 0:
         raise DegenerateInputError("no non-gap co-occurrences in the aligned pairs")
+    pooled = seen + seen.T - np.diag(np.diag(seen))
+    marginal = counts[:n].sum(axis=1) + counts[:, :n].sum(axis=0)
 
-    n = len(symbols)
-    n_pairs = n * (n + 1) // 2
-    joint_den = total_joint + smoothing * n_pairs
-    marg_pseudo = smoothing * (n + 1)
-    marg_den = total_marginal + n * marg_pseudo
-
-    scores = np.empty((n, n), dtype=float)
-    for a in range(n):
-        for b in range(a, n):
-            key = (symbols[a], symbols[b]) if symbols[a] <= symbols[b] else (symbols[b], symbols[a])
-            count = joint.get(key, 0)
-            if count == 0 and smoothing == 0:
-                value = float("-inf")
-            else:
-                p = (count + smoothing) / joint_den
-                qa = (marginal.get(symbols[a], 0) + marg_pseudo) / marg_den
-                qb = (marginal.get(symbols[b], 0) + marg_pseudo) / marg_den
-                value = math.log(p / (qa * qb))
-            scores[a, b] = value
-            scores[b, a] = value
+    joint_den = total_joint + smoothing * (n * m // 2)
+    marg_pseudo = smoothing * m
+    marg_den = int(marginal.sum()) + n * marg_pseudo
+    with np.errstate(all="ignore"):
+        q = (marginal + marg_pseudo) / marg_den
+        ratio = (pooled + smoothing) / joint_den / np.outer(q, q)
+    ratio[pooled + smoothing == 0] = 0.0
+    # math.log, not np.log: numpy does not promise np.log's bits on every build.
+    scores = [[math.log(r) if r else -math.inf for r in row] for row in ratio.tolist()]
     return Scorer(symbols, scores)
 
 
@@ -126,10 +119,9 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
     for lineno, (a, b, text_value) in read_rows(
         lines[1:], 3, start=2, error=MatrixFormatError
     ):
-        if a not in index:
-            raise MatrixFormatError(f"symbol {a!r} is not in the alphabet", line=lineno)
-        if b not in index:
-            raise MatrixFormatError(f"symbol {b!r} is not in the alphabet", line=lineno)
+        for symbol in (a, b):
+            if symbol not in index:
+                raise MatrixFormatError(f"symbol {symbol!r} is not in the alphabet", line=lineno)
         try:
             value = float(text_value)
         except ValueError:
@@ -138,7 +130,7 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
         if filled[i, j] and scores[i, j] != value:
             raise MatrixFormatError(
                 f"conflicting scores for pair ({a}, {b}): "
-                f"{scores[i, j]!r} vs {value!r}",
+                f"{float(scores[i, j])!r} vs {value!r}",
                 line=lineno,
             )
         scores[i, j] = scores[j, i] = value
@@ -153,10 +145,7 @@ def save_pmi(table: Scorer, sink: str | os.PathLike | IO) -> None:
     """Write a table's scores; ``load_pmi`` reads them back as an equal table
     with default gaps. The gaps are not written."""
     with open_sink(sink) as fh:
-        fh.write("alphabet\t" + " ".join(table.alphabet) + "\n")
-        n = len(table.alphabet)
-        for i in range(n):
-            for j in range(i, n):
-                fh.write(
-                    f"{table.alphabet[i]}\t{table.alphabet[j]}\t{float(table.scores[i, j])!r}\n"
-                )
+        symbols = table.alphabet
+        fh.write("alphabet\t" + " ".join(symbols) + "\n")
+        for i, j in zip(*np.triu_indices(len(symbols))):
+            fh.write(f"{symbols[i]}\t{symbols[j]}\t{float(table.scores[i, j])!r}\n")

@@ -314,10 +314,36 @@ class TestPmiEstimate:
             "cogclust: parse error: line 3: expected 2 columns, got 3\n"
         )
 
-    def test_unequal_pair_lengths_exit_3(self, tmp_path):
+    def test_unequal_pair_lengths_exit_3(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
-        pairs.write_text("olo\tal\n", encoding="utf-8")
+        pairs.write_text("ala\tala\n\nolo\tal\n", encoding="utf-8")
         assert main(["pmi-estimate", "--input", str(pairs)]) == 3
+        assert capsys.readouterr().err == (
+            "cogclust: validation error: line 3: "
+            "aligned pair ('olo', 'al') has unequal lengths 3 and 2\n"
+        )
+
+    def test_unknown_segment_exits_3_naming_its_line(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("ala\tala\n\no9\tal\n", encoding="utf-8")
+        assert main(["pmi-estimate", "--input", str(pairs)]) == 3
+        assert capsys.readouterr().err == (
+            "cogclust: validation error: line 3: segment '9' is not in the alphabet\n"
+        )
+
+    @pytest.mark.parametrize("smoothing, bad", [
+        ("1e-300", "+inf"), ("1e-200", "+inf"), ("1e-170", "+inf"), ("1e308", "NaN"),
+    ])
+    def test_extreme_smoothing_exits_3(self, tmp_path, capsys, smoothing, bad):
+        # Tiny smoothing: the chance product of two unseen symbols underflows
+        # to 0. Huge smoothing: the pseudo-count totals overflow to inf.
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("ala\tala\n", encoding="utf-8")
+        code = main(["pmi-estimate", "--input", str(pairs), "--smoothing", smoothing])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"cogclust: validation error: score table contains {bad}\n"
+        )
 
     @pytest.mark.parametrize("smoothing", ["nan", "inf"])
     def test_bad_smoothing_exits_3(self, tmp_path, capsys, smoothing):

@@ -1,7 +1,9 @@
 """PMI estimation and matrix file IO tests."""
 
+import hashlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from cogclust import (
 
 from oracles import pmi_by_counting
 
+ROOT = Path(__file__).resolve().parents[1]
 TWO_SYMBOL_FILE = "alphabet\ta b\na\ta\t2.0\na\tb\t-1.0\nb\tb\t1.0\n"
 
 
@@ -36,9 +39,11 @@ class TestLoadPmi:
             load_pmi(io.StringIO(text))
 
     def test_conflicting_mirror_entries(self):
+        # The earlier score prints as a Python float under every numpy.
         text = TWO_SYMBOL_FILE + "b\ta\t-0.5\n"
-        with pytest.raises(MatrixFormatError, match="conflicting"):
+        with pytest.raises(MatrixFormatError) as err:
             load_pmi(io.StringIO(text))
+        assert str(err.value) == "line 5: conflicting scores for pair (b, a): -1.0 vs -0.5"
 
     def test_consistent_mirror_entry_tolerated(self):
         text = TWO_SYMBOL_FILE + "b\ta\t-1.0\n"
@@ -243,8 +248,47 @@ class TestEstimatePmi:
             estimate_pmi([("a-", "-a")], smoothing=0, alphabet=("a",))
 
     def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValidationError, match="unequal"):
+        with pytest.raises(ValidationError) as err:
             estimate_pmi([("aa", "a")])
+        assert str(err.value) == "aligned pair ('aa', 'a') has unequal lengths 2 and 1"
+
+    def test_gap_symbol_in_the_alphabet_scores_as_a_symbol_never_seen(self):
+        pairs = [("ab-", "a-b"), ("ba", "bb")]
+        with_gap = estimate_pmi(pairs, 0.5, alphabet=("a", "-", "b"))
+        buf = io.StringIO()
+        save_pmi(with_gap, buf)
+        assert buf.getvalue() == (
+            "alphabet\ta - b\n"
+            "a\ta\t0.6729444732424258\n"
+            "a\t-\t0.4906229164484712\n"
+            "a\tb\t0.3364722366212129\n"
+            "-\t-\t1.4069136483226263\n"
+            "-\tb\t0.15415067982725836\n"
+            "b\tb\t0.0\n"
+        )
+        unseen = estimate_pmi(pairs, 0.5, alphabet=("a", "c", "b"))
+        assert np.array_equal(with_gap.scores, unseen.scores)
+
+    @pytest.mark.parametrize("smoothing", [0, 0.1])
+    def test_duplicate_alphabet_symbol_rejected(self, smoothing):
+        with pytest.raises(ValidationError) as err:
+            estimate_pmi([("ab", "ab")], smoothing, alphabet=("a", "b", "a"))
+        assert str(err.value) == "alphabet contains duplicate symbols"
+
+    @pytest.mark.parametrize("smoothing, digest", [
+        (0.1, "e4919b937bfaa096b2ac75aba0aedf492478e154ef2c4356fd5ee3f649c42541"),
+        (0, "7476d7504ed8f3801ec0c50505f419ccb50d7fcb45219b23010a81a409660b8d"),
+    ])
+    def test_saved_table_of_planted_pairs_is_pinned(self, monkeypatch, smoothing, digest):
+        # Every bit of the estimate: a change in the counting or in the order
+        # of the float operations changes the saved text.
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from plant import Shape, planted_wordlist
+
+        shape = Shape(meanings=20, languages=40, proto_len=(3, 9), classes=(1, 8))
+        buf = io.StringIO()
+        save_pmi(estimate_pmi(planted_wordlist(3, shape).pairs, smoothing), buf)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
     def test_out_of_alphabet_segment_rejected(self):
         with pytest.raises(ValidationError, match="'z'"):
