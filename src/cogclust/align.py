@@ -15,25 +15,26 @@ pairs at once: all pairs of a meaning's distinct transcriptions for
 ``nw_score``. ``similarity_matrix`` aligns each distinct transcription of a
 meaning once and gathers the repeats from that distinct-form matrix. Every
 max keeps its first candidate unless a later one is strictly greater (``a if
-a >= b else b``, then ``c`` only if ``c >`` that), spelled out with
-comparisons and masked copies. ``np.maximum`` is not used because numpy does
-not fix which zero it returns for ``max(-0.0, 0.0)``, and the sign of a zero
-score is part of ``nw_score``'s result."""
+a >= b else b``, then ``c`` only if ``c >`` that), because the sign of a zero
+score is part of ``nw_score``'s result and numpy does not fix which zero
+``np.maximum`` returns for ``max(-0.0, 0.0)``. Only a zero ``gap_open`` lets a
+cell hold -0.0, so the kernel uses ``np.maximum`` unless ``gap_open`` is zero,
+and spells the rule out with comparisons and masked copies only then."""
 
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from .alphabet import ASJP_SOUNDS
+from .alphabet import ASJP_SOUNDS, GAP
 from .errors import DegenerateInputError, ValidationError
 from .wordlist import WordForm
 
 _NEG_INF = float("-inf")
 # Pairs aligned per pass of the batched kernel. This bounds its buffers to a
 # few (longest word + 1) x _CHUNK_PAIRS arrays, about 1 MB for words of 15
-# segments. On 100-form meanings 256 was 1.5x slower than 1024, and a whole
-# meaning (5,050 pairs) per pass within 3% of it.
+# segments. On 100-form meanings 256 was 1.6x slower than 1024, and 2048 to a
+# whole meaning (5,050 pairs) per pass 7-12% faster, for 2-5x the buffers.
 _CHUNK_PAIRS = 1024
 
 
@@ -63,13 +64,19 @@ class Scorer:
     :meth:`vanilla`, load or estimate a PMI table with ``pmi.load_pmi`` or
     ``pmi.estimate_pmi``, and give a table other gaps with :meth:`from_pmi`.
     Aligning a word with a symbol outside the alphabet is an error. Instances
-    are immutable and safe for shared concurrent reads.
+    are immutable and safe for shared concurrent reads. The gap symbol ``-``
+    is never in the alphabet: gaps are priced by ``gaps`` alone.
     """
 
     def __init__(self, alphabet: Sequence[str], scores, gaps: GapParams | None = None):
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValidationError("alphabet contains duplicate symbols")
+        if GAP in self.alphabet:
+            raise ValidationError(
+                f"the gap symbol {GAP!r} may not be part of a score table; "
+                "gap costs are aligner parameters"
+            )
         arr = np.array(scores, dtype=float)
         n = len(self.alphabet)
         if arr.shape != (n, n):
@@ -139,10 +146,15 @@ def _prefer(best, cand, mask, compare) -> None:
 
     Each max of the recurrence is ``a if a >= b else b``, then ``c`` if
     ``c > best``: start from ``b``, prefer ``a`` with ``np.greater_equal``,
-    then ``c`` with ``np.greater``.
+    then ``c`` with ``np.greater``. With ``mask`` None the caller has shown
+    that no tie can be between differently signed zeros, so ``np.maximum``
+    gives the same bits in one pass.
     """
-    compare(cand, best, out=mask)
-    np.copyto(best, cand, where=mask)
+    if mask is None:
+        np.maximum(best, cand, out=best)
+    else:
+        compare(cand, best, out=mask)
+        np.copyto(best, cand, where=mask)
 
 
 def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarray:
@@ -154,20 +166,32 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
     second (y); adjacent gaps in opposite words each open their own run. A
     row is ``(len_b + 1, pairs)``: m and x are computed for every column at
     once, y in a loop over columns because it reads its own row. A pair's
-    score is read from its end cell when the row index reaches its length;
+    score is read from its end cell at the row where its first word ends;
     cells past either word's end run over zero padding and are never read.
+
+    Every max keeps its first candidate unless a later one is strictly
+    greater. That rule decides only ties between +0.0 and -0.0, since no cell
+    is NaN (no table holds +inf). A sum is -0.0 only if both terms are, and
+    the cells start from +0.0, -inf and gap runs that begin at ``gap_open``;
+    so unless ``gap_open`` is zero no cell is ever -0.0, and ``np.maximum``,
+    one pass instead of a compare and a masked copy, gives the same bits.
     """
     lengths = np.array([len(c) for c in codes], dtype=np.intp)
     words = np.zeros((len(codes), int(lengths.max())), dtype=np.intp)
     for row, c in zip(words, codes):
         row[:len(c)] = c
+    flat_scores = scores.ravel()
+    n = scores.shape[0]
+    exact_ties = gap_open == 0  # only then can a cell hold -0.0
     total = len(first)
     out = np.empty(total)
     for start in range(0, total, _CHUNK_PAIRS):
         chunk = slice(start, start + _CHUNK_PAIRS)
         len_a, len_b = lengths[first[chunk]], lengths[second[chunk]]
         pairs = len(len_a)
-        a = np.ascontiguousarray(words[first[chunk], :len_a.max()].T)
+        # Row i of a_rows is the offset of the first word's i-th symbol's row
+        # in the flattened table, so b + a_rows[i] indexes its scores.
+        a_rows = np.ascontiguousarray(words[first[chunk], :len_a.max()].T) * n
         b = np.ascontiguousarray(words[second[chunk], :len_b.max()].T)
         # m is kept for this row and the one above; x and y are updated in
         # place, since a cell of either reads only its own column above or
@@ -175,17 +199,23 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
         cols = b.shape[0] + 1
         m_above, m, x, y = np.full((4, cols, pairs), _NEG_INF)
         cand = np.empty((cols - 1, pairs))
-        mask = np.empty((cols - 1, pairs), dtype=bool)
-        step, beats = np.empty(pairs), np.empty(pairs, dtype=bool)
-        ends = (len_b, np.arange(pairs))
+        at = np.empty((cols - 1, pairs), dtype=np.intp)
+        step = np.empty(pairs)
+        mask = np.empty((cols - 1, pairs), dtype=bool) if exact_ties else None
+        beats = np.empty(pairs, dtype=bool) if exact_ties else None
 
         def finish(i):
-            # Python's max(m, x, y) of each end cell, kept for the pairs
-            # whose first word ends at row i.
-            best = m[ends]
-            _prefer(best, x[ends], beats, np.greater)
-            _prefer(best, y[ends], beats, np.greater)
-            np.copyto(out[chunk], best, where=len_a == i)
+            # Python's max(m, x, y) of the end cells of the pairs whose first
+            # word ends at row i, read by flat offset in a (cols, pairs) row.
+            ended = np.flatnonzero(len_a == i)
+            if len(ended) == 0:
+                return
+            cells = len_b[ended] * pairs + ended
+            tie = None if beats is None else beats[:len(ended)]
+            best = m.ravel().take(cells)
+            _prefer(best, x.ravel().take(cells), tie, np.greater)
+            _prefer(best, y.ravel().take(cells), tie, np.greater)
+            out[start + ended] = best
 
         m[0] = 0.0
         # Boundary gap runs accumulate one extension at a time so that scores
@@ -196,14 +226,15 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
             run += gap_extend
         finish(0)
         run = gap_open
-        for i in range(1, a.shape[0] + 1):
+        for i in range(1, len(a_rows) + 1):
             m_above, m = m, m_above
             m[0] = _NEG_INF
             # m: the best diagonal predecessor plus the substitution score.
             np.copyto(m[1:], x[:-1])
             _prefer(m[1:], m_above[:-1], mask, np.greater_equal)
             _prefer(m[1:], y[:-1], mask, np.greater)
-            m[1:] += scores[a[i - 1], b]
+            np.add(b, a_rows[i - 1], out=at)
+            m[1:] += flat_scores.take(at, out=cand)
             # x: from the cell above.
             np.add(x[1:], gap_extend, out=x[1:])
             np.add(m_above[1:], gap_open, out=cand)
@@ -227,8 +258,10 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
 def nw_score(a: Sequence[str], b: Sequence[str], scorer: Scorer) -> float:
     """Maximum global alignment score of two words under a scorer.
 
-    Symmetric in its word arguments. Empty sequences are legal (their only
-    alignment is one all-gap run), though real word forms are never empty.
+    Symmetric in its word arguments, bit for bit unless opening a gap is free
+    (``gap_open`` zero); then the two orders may differ in the sign of a zero
+    score. Empty sequences are legal (their only alignment is one all-gap
+    run), though real word forms are never empty.
     """
     score = _gotoh_batch(
         [scorer._encode(a), scorer._encode(b)],

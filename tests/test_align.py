@@ -364,6 +364,26 @@ class TestBatchedKernel:
             want = alignment_best_score(a, b, scorer.substitution, gaps.gap_open, gaps.gap_extend)
             assert same_bits(nw_score(a, b, scorer), want), (case, a, b)
 
+    def test_no_score_is_negative_zero_unless_opening_a_gap_is_free(self):
+        # The precondition of the kernel's np.maximum path: with gap_open
+        # non-zero no cell holds -0.0, so no max meets a tie between signed
+        # zeros, and both orders of a pair give the same bits.
+        rng = np.random.default_rng(8)
+        values = [0.0, -0.0, NEG_INF, 1.0, -1.0]
+        upper = np.triu(np.ones((3, 3), dtype=bool))
+        for trial in range(40):
+            table = rng.choice(values, size=(3, 3))
+            table = np.where(upper, table, table.T)  # keeps every zero's sign
+            gaps = GapParams(*[(-1.0, -0.0), (-1.0, 0.0), (-0.5, -0.5), (NEG_INF, -1.0)][trial % 4])
+            scorer = Scorer(("a", "b", "c"), table, gaps)
+            words = ["".join(rng.choice(list("abc"), size=k)) for k in rng.integers(0, 6, size=8)]
+            for a in words:
+                for b in words:
+                    score = nw_score(a, b, scorer)
+                    assert same_bits(score, scalar_gotoh(a, b, scorer)), (trial, a, b)
+                    assert not same_bits(score, -0.0), (trial, a, b)
+                    assert same_bits(score, nw_score(b, a, scorer)), (trial, a, b)
+
     def test_signed_zeros_follow_the_scalar_tie_rule(self):
         # With gap_open = -0.0 a boundary gap run starts at -0.0, so ties
         # between 0.0 and -0.0 reach every max; the enumeration oracle, which

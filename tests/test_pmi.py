@@ -252,22 +252,20 @@ class TestEstimatePmi:
             estimate_pmi([("aa", "a")])
         assert str(err.value) == "aligned pair ('aa', 'a') has unequal lengths 2 and 1"
 
-    def test_gap_symbol_in_the_alphabet_scores_as_a_symbol_never_seen(self):
-        pairs = [("ab-", "a-b"), ("ba", "bb")]
-        with_gap = estimate_pmi(pairs, 0.5, alphabet=("a", "-", "b"))
-        buf = io.StringIO()
-        save_pmi(with_gap, buf)
-        assert buf.getvalue() == (
-            "alphabet\ta - b\n"
-            "a\ta\t0.6729444732424258\n"
-            "a\t-\t0.4906229164484712\n"
-            "a\tb\t0.3364722366212129\n"
-            "-\t-\t1.4069136483226263\n"
-            "-\tb\t0.15415067982725836\n"
-            "b\tb\t0.0\n"
-        )
-        unseen = estimate_pmi(pairs, 0.5, alphabet=("a", "c", "b"))
-        assert np.array_equal(with_gap.scores, unseen.scores)
+    def test_gap_symbol_in_the_alphabet_rejected(self):
+        # A table with a '-' row could be saved but never loaded back.
+        alphabet = ("a", "-", "b")
+        for build in (
+            lambda: estimate_pmi([("ab-", "a-b"), ("ba", "bb")], 0.5, alphabet=alphabet),
+            lambda: Scorer(alphabet, np.zeros((3, 3))),
+            lambda: Scorer.vanilla(alphabet=alphabet),
+        ):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert str(err.value) == (
+                "the gap symbol '-' may not be part of a score table; "
+                "gap costs are aligner parameters"
+            )
 
     @pytest.mark.parametrize("smoothing", [0, 0.1])
     def test_duplicate_alphabet_symbol_rejected(self, smoothing):
