@@ -26,10 +26,9 @@ print(wordlist)
 # Cluster every meaning with the default scorer and configuration.
 partitions = cluster_wordlist(wordlist, Scorer.vanilla(), CrpConfig())
 for meaning, partition in partitions.items():
-    groups = [
-        [wordlist.forms_for_meaning(meaning)[i].segments for i in cluster]
-        for cluster in partition.clusters()
-    ]
+    groups = [[] for _ in range(partition.k)]
+    for form, label in zip(wordlist.forms_for_meaning(meaning), partition.labels):
+        groups[label].append(form.segments)
     print(f"{meaning}: {groups}")
 
 print()

@@ -43,7 +43,7 @@ from .pipeline import (
     write_partitions,
 )
 from .pmi import estimate_pmi, load_pmi, save_pmi
-from .wordlist import WordForm, WordList, parse_wordlist, write_wordlist
+from .wordlist import WordForm, WordList, parse_wordlist
 
 __all__ = [
     "ASJP_SOUNDS",
@@ -83,5 +83,4 @@ __all__ = [
     "save_pmi",
     "similarity_matrix",
     "write_partitions",
-    "write_wordlist",
 ]

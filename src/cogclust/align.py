@@ -14,12 +14,8 @@ pairs at once: all pairs of a meaning's distinct transcriptions for
 ``similarity_matrix``, in chunks of ``_CHUNK_PAIRS``, and a batch of one for
 ``nw_score``. ``similarity_matrix`` aligns each distinct transcription of a
 meaning once and gathers the repeats from that distinct-form matrix. Every
-max keeps its first candidate unless a later one is strictly greater (``a if
-a >= b else b``, then ``c`` only if ``c >`` that), because the sign of a zero
-score is part of ``nw_score``'s result and numpy does not fix which zero
-``np.maximum`` returns for ``max(-0.0, 0.0)``. Only a zero ``gap_open`` lets a
-cell hold -0.0, so the kernel uses ``np.maximum`` unless ``gap_open`` is zero,
-and spells the rule out with comparisons and masked copies only then."""
+max is ``np.maximum``, and a zero score is returned as +0.0, so no result
+depends on which zero a numpy build's ``np.maximum`` keeps."""
 
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -141,22 +137,6 @@ class Scorer:
         return f"Scorer({len(self.alphabet)} symbols, {self.gaps})"
 
 
-def _prefer(best, cand, mask, compare) -> None:
-    """Replace ``best`` by ``cand`` in place wherever ``compare(cand, best)``.
-
-    Each max of the recurrence is ``a if a >= b else b``, then ``c`` if
-    ``c > best``: start from ``b``, prefer ``a`` with ``np.greater_equal``,
-    then ``c`` with ``np.greater``. With ``mask`` None the caller has shown
-    that no tie can be between differently signed zeros, so ``np.maximum``
-    gives the same bits in one pass.
-    """
-    if mask is None:
-        np.maximum(best, cand, out=best)
-    else:
-        compare(cand, best, out=mask)
-        np.copyto(best, cand, where=mask)
-
-
 def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarray:
     """Maximum affine-gap global alignment scores of pairs of int-coded words.
 
@@ -169,12 +149,11 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
     score is read from its end cell at the row where its first word ends;
     cells past either word's end run over zero padding and are never read.
 
-    Every max keeps its first candidate unless a later one is strictly
-    greater. That rule decides only ties between +0.0 and -0.0, since no cell
-    is NaN (no table holds +inf). A sum is -0.0 only if both terms are, and
-    the cells start from +0.0, -inf and gap runs that begin at ``gap_open``;
-    so unless ``gap_open`` is zero no cell is ever -0.0, and ``np.maximum``,
-    one pass instead of a compare and a masked copy, gives the same bits.
+    No cell is NaN, as no table holds +inf, so a max can pick between equal
+    values only when they are zeros of opposite sign. The sign of a zero
+    never changes a non-zero sum, and rounding is monotone, so every non-zero
+    score has the bits of the best path's left-to-right sum whichever zero a
+    max keeps; adding +0.0 at the end makes every zero score +0.0.
     """
     lengths = np.array([len(c) for c in codes], dtype=np.intp)
     words = np.zeros((len(codes), int(lengths.max())), dtype=np.intp)
@@ -182,7 +161,6 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
         row[:len(c)] = c
     flat_scores = scores.ravel()
     n = scores.shape[0]
-    exact_ties = gap_open == 0  # only then can a cell hold -0.0
     total = len(first)
     out = np.empty(total)
     for start in range(0, total, _CHUNK_PAIRS):
@@ -201,20 +179,17 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
         cand = np.empty((cols - 1, pairs))
         at = np.empty((cols - 1, pairs), dtype=np.intp)
         step = np.empty(pairs)
-        mask = np.empty((cols - 1, pairs), dtype=bool) if exact_ties else None
-        beats = np.empty(pairs, dtype=bool) if exact_ties else None
 
         def finish(i):
-            # Python's max(m, x, y) of the end cells of the pairs whose first
+            # The max of m, x and y at the end cells of the pairs whose first
             # word ends at row i, read by flat offset in a (cols, pairs) row.
             ended = np.flatnonzero(len_a == i)
             if len(ended) == 0:
                 return
             cells = len_b[ended] * pairs + ended
-            tie = None if beats is None else beats[:len(ended)]
             best = m.ravel().take(cells)
-            _prefer(best, x.ravel().take(cells), tie, np.greater)
-            _prefer(best, y.ravel().take(cells), tie, np.greater)
+            np.maximum(best, x.ravel().take(cells), out=best)
+            np.maximum(best, y.ravel().take(cells), out=best)
             out[start + ended] = best
 
         m[0] = 0.0
@@ -230,38 +205,37 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
             m_above, m = m, m_above
             m[0] = _NEG_INF
             # m: the best diagonal predecessor plus the substitution score.
-            np.copyto(m[1:], x[:-1])
-            _prefer(m[1:], m_above[:-1], mask, np.greater_equal)
-            _prefer(m[1:], y[:-1], mask, np.greater)
+            np.maximum(m_above[:-1], x[:-1], out=m[1:])
+            np.maximum(m[1:], y[:-1], out=m[1:])
             np.add(b, a_rows[i - 1], out=at)
             m[1:] += flat_scores.take(at, out=cand)
             # x: from the cell above.
             np.add(x[1:], gap_extend, out=x[1:])
             np.add(m_above[1:], gap_open, out=cand)
-            _prefer(x[1:], cand, mask, np.greater_equal)
+            np.maximum(x[1:], cand, out=x[1:])
             np.add(y[1:], gap_open, out=cand)
-            _prefer(x[1:], cand, mask, np.greater)
+            np.maximum(x[1:], cand, out=x[1:])
             x[0] = run
             run += gap_extend
             # y: from the cell to the left. Its m-or-x choice is known for
             # every column; only the extension of y's own run needs the loop.
             np.add(x[:-1], gap_open, out=y[1:])
             np.add(m[:-1], gap_open, out=cand)
-            _prefer(y[1:], cand, mask, np.greater_equal)
+            np.maximum(y[1:], cand, out=y[1:])
             for j in range(1, cols):
                 np.add(y[j - 1], gap_extend, out=step)
-                _prefer(y[j], step, beats, np.greater)
+                np.maximum(y[j], step, out=y[j])
             finish(i)
+    out += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
     return out
 
 
 def nw_score(a: Sequence[str], b: Sequence[str], scorer: Scorer) -> float:
     """Maximum global alignment score of two words under a scorer.
 
-    Symmetric in its word arguments, bit for bit unless opening a gap is free
-    (``gap_open`` zero); then the two orders may differ in the sign of a zero
-    score. Empty sequences are legal (their only alignment is one all-gap
-    run), though real word forms are never empty.
+    Symmetric in its word arguments, bit for bit, for every gap setting; a
+    zero score is +0.0. Empty sequences are legal (their only alignment is
+    one all-gap run), though real word forms are never empty.
     """
     score = _gotoh_batch(
         [scorer._encode(a), scorer._encode(b)],
@@ -318,9 +292,6 @@ def similarity_matrix(
     # A score depends only on the two words, so number the distinct words by
     # first appearance, align their upper triangle (self pairs included) in
     # one batch, mirror it, and gather every form's row and column from it.
-    # A pair may be read in the other order than it was aligned; the two
-    # orders differ at most in the sign of a zero, which the clamp maps to
-    # 0.0 (test_signed_zeros_follow_the_scalar_tie_rule checks every order).
     index: dict[str, int] = {}
     inv = [index.setdefault(w, len(index)) for w in words]
     codes = [scorer._encode(w) for w in index]

@@ -18,7 +18,7 @@ import urllib.parse
 
 from . import __version__
 from .align import GapParams, Scorer, similarity_matrix
-from .crp import CrpConfig
+from .crp import LINKAGES, CrpConfig
 from .errors import (
     DegenerateInputError,
     MeaningNotFoundError,
@@ -62,7 +62,7 @@ def _add_cluster_args(sub):
                      help="new-cluster threshold (default %(default)s)")
     sub.add_argument("--max-scans", type=int, default=config.max_scans, metavar="N",
                      help="maximum full scans (default %(default)s)")
-    sub.add_argument("--linkage", choices=("average", "single"), default=config.linkage)
+    sub.add_argument("--linkage", choices=LINKAGES, default=config.linkage)
     sub.add_argument("--shuffle-seed", type=int, default=None, metavar="N",
                      help="seeded random scan order instead of file order")
     sub.add_argument("--threshold", type=float, default=None, metavar="F",

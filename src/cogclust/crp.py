@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DegenerateInputError, ValidationError
 
 _NEG_INF = float("-inf")
+LINKAGES = ("average", "single")
 
 
 @dataclass(frozen=True)
@@ -66,17 +67,6 @@ class Partition:
     def k(self) -> int:
         return max(self.labels) + 1
 
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        """Member indices per cluster, in label order."""
-        groups: list[list[int]] = [[] for _ in range(self.k)]
-        for idx, lab in enumerate(self.labels):
-            groups[lab].append(idx)
-        return tuple(tuple(g) for g in groups)
-
-    def same_clustering(self, other: "Partition") -> bool:
-        """Set-partition equality; label values are immaterial."""
-        return Partition.from_labels(self.labels) == Partition.from_labels(other.labels)
-
 
 @dataclass(frozen=True)
 class CrpConfig:
@@ -94,9 +84,17 @@ class CrpConfig:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValidationError("alpha must be > 0")
+        for name in ("max_scans", "shuffle_seed"):
+            value = getattr(self, name)
+            if value is None and name == "shuffle_seed":
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer") from None
         if self.max_scans < 1:
             raise ValidationError("max_scans must be >= 1")
-        if self.linkage not in ("average", "single"):
+        if self.linkage not in LINKAGES:
             raise ValidationError(f"unknown linkage {self.linkage!r}")
         if self.shuffle_seed is not None and self.shuffle_seed < 0:
             raise ValidationError("shuffle_seed must be >= 0")

@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 from .alphabet import ASJP_SOUNDS, MODIFIER_CHARS
 from .errors import MeaningNotFoundError, ParseError, ValidationError
-from .textio import open_sink, read_rows, read_text
+from .textio import read_rows, read_text
 
 HEADER_COLUMNS = ("language", "concept", "transcription", "cognate_class")
 _REQUIRED_COLUMNS = ("language", "concept", "transcription")
@@ -162,11 +162,3 @@ def parse_wordlist(
         gold = row[gold_at] if gold_at is not None else ""
         forms.append(WordForm(language, meaning, word, gold or None))
     return WordList(forms)
-
-
-def write_wordlist(wordlist: WordList, sink: str | os.PathLike | IO) -> None:
-    """Write a word list back to 4-column TSV; re-parsing yields an equal list."""
-    with open_sink(sink) as fh:
-        fh.write("\t".join(HEADER_COLUMNS) + "\n")
-        for f in wordlist.forms:
-            fh.write(f"{f.language}\t{f.meaning}\t{f.segments}\t{f.gold_class or ''}\n")

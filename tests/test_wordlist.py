@@ -1,4 +1,4 @@
-"""Word list parsing, validation and round-trip tests."""
+"""Word list parsing and validation tests."""
 
 import io
 
@@ -12,7 +12,6 @@ from cogclust import (
     WordList,
     gold_partitions,
     parse_wordlist,
-    write_wordlist,
 )
 
 HEADER = "language\tconcept\ttranscription\tcognate_class\n"
@@ -186,26 +185,6 @@ class TestFormsForMeaning:
         collected = [f for m in wl.meanings for f in wl.forms_for_meaning(m)]
         assert sorted(map(id, collected)) == sorted(map(id, wl.forms))
         assert len(collected) == len(wl)
-
-
-class TestRoundTrip:
-    def test_parse_write_parse_identity(self):
-        wl = parse(TABLE_SAMPLE)
-        buf = io.StringIO()
-        write_wordlist(wl, buf)
-        assert parse(buf.getvalue()) == wl
-
-    def test_round_trip_without_gold(self):
-        wl = parse("language\tconcept\ttranscription\nEnglish\tALL\tol\n")
-        buf = io.StringIO()
-        write_wordlist(wl, buf)
-        assert parse(buf.getvalue()) == wl
-
-    def test_write_to_path(self, tmp_path):
-        wl = parse(TABLE_SAMPLE)
-        path = tmp_path / "out.tsv"
-        write_wordlist(wl, path)
-        assert parse_wordlist(path) == wl
 
 
 class TestWordListConstruction:
