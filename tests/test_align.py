@@ -251,6 +251,37 @@ class TestSimilarityMatrix:
             assert [float(c) for c in cells[1:]] == list(sm.values[i])
 
 
+def scalar_gotoh(a, b, scorer):
+    """The per-pair loop the batched kernel replaced, with its compare-and-copy maxima."""
+    sub, gap_open, gap_extend = scorer.substitution, scorer.gaps.gap_open, scorer.gaps.gap_extend
+    n, m = len(a), len(b)
+    m_prev, x_prev, y_prev = [NEG_INF] * (m + 1), [NEG_INF] * (m + 1), [NEG_INF] * (m + 1)
+    m_prev[0] = 0.0
+    for j in range(1, m + 1):
+        y_prev[j] = gap_open if j == 1 else y_prev[j - 1] + gap_extend
+    for i in range(1, n + 1):
+        m_cur, x_cur, y_cur = [NEG_INF] * (m + 1), [NEG_INF] * (m + 1), [NEG_INF] * (m + 1)
+        x_cur[0] = gap_open if i == 1 else x_prev[0] + gap_extend
+        for j in range(1, m + 1):
+            diag_m, diag_x, diag_y = m_prev[j - 1], x_prev[j - 1], y_prev[j - 1]
+            best = diag_m if diag_m >= diag_x else diag_x
+            if diag_y > best:
+                best = diag_y
+            m_cur[j] = best + sub(a[i - 1], b[j - 1])
+            from_m, from_x, from_y = m_prev[j] + gap_open, x_prev[j] + gap_extend, y_prev[j] + gap_open
+            best = from_m if from_m >= from_x else from_x
+            if from_y > best:
+                best = from_y
+            x_cur[j] = best
+            from_m, from_x, from_y = m_cur[j - 1] + gap_open, x_cur[j - 1] + gap_open, y_cur[j - 1] + gap_extend
+            best = from_m if from_m >= from_x else from_x
+            if from_y > best:
+                best = from_y
+            y_cur[j] = best
+        m_prev, x_prev, y_prev = m_cur, x_cur, y_cur
+    return max(m_prev[m], x_prev[m], y_prev[m])
+
+
 def same_bits(x, y) -> bool:
     return np.float64(x).tobytes() == np.float64(y).tobytes()
 
@@ -358,3 +389,51 @@ class TestBatchedKernel:
                     assert not same_bits(score, -0.0), (trial, a, b)
                     assert same_bits(score, nw_score(b, a, scorer)), (trial, a, b)
         assert negative_zero_tables > 0
+
+    def test_no_score_is_negative_zero_unless_opening_a_gap_is_free(self):
+        # With gap_open non-zero no cell holds -0.0, so the kernel's results
+        # are the scalar loop's bits unchanged and both orders agree.
+        rng = np.random.default_rng(8)
+        values = [0.0, -0.0, NEG_INF, 1.0, -1.0]
+        upper = np.triu(np.ones((3, 3), dtype=bool))
+        for trial in range(40):
+            table = rng.choice(values, size=(3, 3))
+            table = np.where(upper, table, table.T)  # keeps every zero's sign
+            gaps = GapParams(*[(-1.0, -0.0), (-1.0, 0.0), (-0.5, -0.5), (NEG_INF, -1.0)][trial % 4])
+            scorer = Scorer(("a", "b", "c"), table, gaps)
+            words = ["".join(rng.choice(list("abc"), size=k)) for k in rng.integers(0, 6, size=8)]
+            for a in words:
+                for b in words:
+                    score = nw_score(a, b, scorer)
+                    assert same_bits(score, scalar_gotoh(a, b, scorer)), (trial, a, b)
+                    assert not same_bits(score, -0.0), (trial, a, b)
+                    assert same_bits(score, nw_score(b, a, scorer)), (trial, a, b)
+
+    def test_signed_zeros_follow_the_scalar_tie_rule(self):
+        # With gap_open = -0.0 ties between 0.0 and -0.0 reach every max, and
+        # np.maximum may keep the other zero than the scalar loop's
+        # compare-and-copy. That changes only the sign of a zero score, which
+        # the kernel returns as +0.0: its bits are the loop's plus 0.0.
+        rng = np.random.default_rng(5)
+        values = [0.0, -0.0, NEG_INF, 1.0, -1.0]
+        upper = np.triu(np.ones((3, 3), dtype=bool))
+        for trial in range(40):
+            table = rng.choice(values, size=(3, 3))
+            table = np.where(upper, table, table.T)  # keeps every zero's sign
+            gaps = GapParams(*[(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-1.0, -0.0)][trial % 4])
+            scorer = Scorer(("a", "b", "c"), table, gaps)
+            forms = mixed_forms(rng, 50 if trial == 0 else 8, 4)
+            words = ["", *(f.segments for f in forms[:6])]
+            for a in words:
+                for b in words:
+                    assert same_bits(nw_score(a, b, scorer), scalar_gotoh(a, b, scorer) + 0.0), (trial, a, b)
+            if trial == 0:  # enough distinct words for two chunks
+                forms += mixed_forms(np.random.default_rng(50), 40, 5)
+                assert distinct_pairs(forms) > _CHUNK_PAIRS
+            for forms in (forms, transposing_forms()):
+                sm = similarity_matrix(forms, scorer)
+                for i, fi in enumerate(forms):
+                    for j, fj in enumerate(forms):
+                        raw = scalar_gotoh(fi.segments, fj.segments, scorer)
+                        # A non-positive score, -0.0 included, clamps to +0.0.
+                        assert same_bits(sm.values[i, j], raw if raw > 0 else 0.0), (trial, i, j)
