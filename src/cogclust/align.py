@@ -12,8 +12,13 @@ inputs.
 One numpy kernel, ``_gotoh_batch``, runs the recurrence over a batch of word
 pairs at once: all pairs of a meaning's distinct transcriptions for
 ``similarity_matrix``, in chunks of ``_CHUNK_PAIRS``, and a batch of one for
-``nw_score``. ``similarity_matrix`` aligns each distinct transcription of a
-meaning once and gathers the repeats from that distinct-form matrix. Every
+``nw_score``. Following Gotoh (1982), it keeps one row of each cell's best
+score, ``max(m, x, y)``, and builds the next cells from it. Every cell is
+still the three-way max of the same sums, bit for bit: the one candidate
+this adds never wins, because ``gap_open <= gap_extend`` and rounding is
+monotone.
+``similarity_matrix`` aligns each distinct transcription of a meaning once,
+longest first, and gathers the repeats from that distinct-form matrix. Every
 max is ``np.maximum``, and a zero score is returned as +0.0, so no result
 depends on which zero a numpy build's ``np.maximum`` keeps."""
 
@@ -29,8 +34,9 @@ from .wordlist import WordForm
 _NEG_INF = float("-inf")
 # Pairs aligned per pass of the batched kernel. This bounds its buffers to a
 # few (longest word + 1) x _CHUNK_PAIRS arrays, about 1 MB for words of 15
-# segments. On 100-form meanings 256 was 1.6x slower than 1024, and 2048 to a
-# whole meaning (5,050 pairs) per pass 7-12% faster, for 2-5x the buffers.
+# segments. Against 1024, on meanings of about 50 distinct words (1,300 pairs)
+# and of 100 (5,050 pairs), 256 was 1.4-1.9x slower and 2048 5-11% faster for
+# twice the buffers; a whole 5,050-pair meaning per pass was 1.4x slower.
 _CHUNK_PAIRS = 1024
 
 
@@ -141,12 +147,23 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
     """Maximum affine-gap global alignment scores of pairs of int-coded words.
 
     Pair ``p`` aligns ``codes[first[p]]`` with ``codes[second[p]]``. The
-    recurrence keeps three rows: best score ending in a substitution column
-    (m), in a gap consuming the first word (x), or in a gap consuming the
-    second (y); adjacent gaps in opposite words each open their own run. A
-    row is ``(len_b + 1, pairs)``: m and x are computed for every column at
-    once, y in a loop over columns because it reads its own row. A pair's
-    score is read from its end cell at the row where its first word ends;
+    recurrence has three states: a substitution column (m), a gap consuming
+    the first word (x) and a gap consuming the second (y); adjacent gaps in
+    opposite words each open their own run. It keeps one row of each cell's
+    best state, ``h = max(m, x, y)``, plus the x and y rows:
+
+    - ``m = h_above_left + substitution``, written straight into ``h``;
+    - ``x = max(x_above + gap_extend, h_above + gap_open)``;
+    - ``y = max(max(m, x)_left + gap_open, y_left + gap_extend)``, in a loop
+      over columns because it reads its own row; then ``h = max(h, y)``.
+
+    Opening x from ``h`` adds one candidate to the three-state recurrence,
+    an x run opened right after an x run, and it never wins: as
+    ``GapParams`` keeps ``gap_open <= gap_extend`` and rounding is monotone,
+    ``v + gap_open <= v + gap_extend``, and ``max(a, b) + c`` is the larger of
+    ``a + c`` and ``b + c``. So every cell is the max of the same sums as the
+    three-state recurrence's. A row is ``(len_b + 1, pairs)``. A pair's score
+    is read from ``h`` at its end cell, in the row where its first word ends;
     cells past either word's end run over zero padding and are never read.
 
     No cell is NaN, as no table holds +inf, so a max can pick between equal
@@ -156,75 +173,67 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
     max keeps; adding +0.0 at the end makes every zero score +0.0.
     """
     lengths = np.array([len(c) for c in codes], dtype=np.intp)
-    words = np.zeros((len(codes), int(lengths.max())), dtype=np.intp)
-    for row, c in zip(words, codes):
-        row[:len(c)] = c
+    longest = int(lengths.max())
+    words = np.array([c + [0] * (longest - len(c)) for c in codes], dtype=np.intp)
+    # A boundary cell is one gap run, summed one extension at a time so that
+    # scores are bitwise identical to summing costs along the alignment path.
+    edge, run = [0.0], gap_open
+    for _ in range(longest):
+        edge.append(run)
+        run += gap_extend
     flat_scores = scores.ravel()
     n = scores.shape[0]
     total = len(first)
     out = np.empty(total)
     for start in range(0, total, _CHUNK_PAIRS):
         chunk = slice(start, start + _CHUNK_PAIRS)
+        done = out[chunk]
         len_a, len_b = lengths[first[chunk]], lengths[second[chunk]]
         pairs = len(len_a)
         # Row i of a_rows is the offset of the first word's i-th symbol's row
         # in the flattened table, so b + a_rows[i] indexes its scores.
         a_rows = np.ascontiguousarray(words[first[chunk], :len_a.max()].T) * n
         b = np.ascontiguousarray(words[second[chunk], :len_b.max()].T)
-        # m is kept for this row and the one above; x and y are updated in
-        # place, since a cell of either reads only its own column above or
-        # the cell to its left.
-        cols = b.shape[0] + 1
-        m_above, m, x, y = np.full((4, cols, pairs), _NEG_INF)
+        rows, cols = len(a_rows), len(b) + 1
+        # Pair p ends in row len_a[p], at flat offset len_b[p] * pairs + p.
+        ends = [([], []) for _ in range(rows + 1)]
+        for p, (i, j) in enumerate(zip(len_a.tolist(), len_b.tolist())):
+            ended, cells = ends[i]
+            ended.append(p)
+            cells.append(j * pairs + p)
+        # x and y are updated in place: a cell of either reads only its own
+        # column above or the cell to its left. Column 0 of x is never read;
+        # its boundary run is h[0].
+        h_above, h, x, y = np.full((4, cols, pairs), _NEG_INF)
         cand = np.empty((cols - 1, pairs))
         at = np.empty((cols - 1, pairs), dtype=np.intp)
         step = np.empty(pairs)
 
         def finish(i):
-            # The max of m, x and y at the end cells of the pairs whose first
-            # word ends at row i, read by flat offset in a (cols, pairs) row.
-            ended = np.flatnonzero(len_a == i)
-            if len(ended) == 0:
-                return
-            cells = len_b[ended] * pairs + ended
-            best = m.ravel().take(cells)
-            np.maximum(best, x.ravel().take(cells), out=best)
-            np.maximum(best, y.ravel().take(cells), out=best)
-            out[start + ended] = best
+            ended, cells = ends[i]
+            if ended:
+                done[ended] = h.ravel().take(cells)
 
-        m[0] = 0.0
-        # Boundary gap runs accumulate one extension at a time so that scores
-        # are bitwise identical to summing costs along the alignment path.
-        run = gap_open
-        for j in range(1, cols):
-            y[j] = run
-            run += gap_extend
+        h.T[:] = edge[:cols]
         finish(0)
-        run = gap_open
-        for i in range(1, len(a_rows) + 1):
-            m_above, m = m, m_above
-            m[0] = _NEG_INF
-            # m: the best diagonal predecessor plus the substitution score.
-            np.maximum(m_above[:-1], x[:-1], out=m[1:])
-            np.maximum(m[1:], y[:-1], out=m[1:])
+        for i in range(1, rows + 1):
+            h_above, h = h, h_above
+            h[0] = edge[i]
+            # m into h: the best cell above-left plus the substitution score.
             np.add(b, a_rows[i - 1], out=at)
-            m[1:] += flat_scores.take(at, out=cand)
-            # x: from the cell above.
+            np.add(h_above[:-1], flat_scores.take(at, out=cand), out=h[1:])
+            # x: extend its run from above, or open one from the cell above.
             np.add(x[1:], gap_extend, out=x[1:])
-            np.add(m_above[1:], gap_open, out=cand)
+            np.add(h_above[1:], gap_open, out=cand)
             np.maximum(x[1:], cand, out=x[1:])
-            np.add(y[1:], gap_open, out=cand)
-            np.maximum(x[1:], cand, out=x[1:])
-            x[0] = run
-            run += gap_extend
-            # y: from the cell to the left. Its m-or-x choice is known for
-            # every column; only the extension of y's own run needs the loop.
-            np.add(x[:-1], gap_open, out=y[1:])
-            np.add(m[:-1], gap_open, out=cand)
-            np.maximum(y[1:], cand, out=y[1:])
+            np.maximum(h[1:], x[1:], out=h[1:])
+            # y: open from max(m, x) to the left; only the extension of its
+            # own run needs the loop.
+            np.add(h[:-1], gap_open, out=y[1:])
             for j in range(1, cols):
                 np.add(y[j - 1], gap_extend, out=step)
                 np.maximum(y[j], step, out=y[j])
+            np.maximum(h[1:], y[1:], out=h[1:])
             finish(i)
     out += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
     return out
@@ -289,14 +298,18 @@ def similarity_matrix(
     if len(meanings) > 1:
         raise ValidationError(f"forms span several meanings: {sorted(meanings)}")
     words = [f.segments for f in forms]
-    # A score depends only on the two words, so number the distinct words by
-    # first appearance, align their upper triangle (self pairs included) in
-    # one batch, mirror it, and gather every form's row and column from it.
-    index: dict[str, int] = {}
-    inv = [index.setdefault(w, len(index)) for w in words]
-    codes = [scorer._encode(w) for w in index]
+    # A score depends only on the two words, so number the distinct words
+    # longest first (equal lengths by first appearance), align their upper
+    # triangle (self pairs included) in one batch, mirror it, and gather
+    # every form's row and column from it. Row-major upper-triangle order
+    # makes a pair's first word never the shorter, and a later chunk of the
+    # batch hold only words no longer than an earlier one's.
+    distinct_words = sorted(dict.fromkeys(words), key=len, reverse=True)
+    index = {w: k for k, w in enumerate(distinct_words)}
+    inv = [index[w] for w in words]
+    codes = [scorer._encode(w) for w in distinct_words]
     d = len(codes)
-    rows, cols = np.triu_indices(d)
+    rows, cols = np.nonzero(np.tri(d, dtype=bool).T)
     distinct = np.empty((d, d))
     distinct[rows, cols] = distinct[cols, rows] = _gotoh_batch(
         codes,
@@ -306,7 +319,7 @@ def similarity_matrix(
         scorer.gaps.gap_open,
         scorer.gaps.gap_extend,
     )
-    raw = distinct[np.ix_(inv, inv)]
+    raw = distinct.take(inv, axis=0).take(inv, axis=1)
     if normalize:
         self_raw = raw.diagonal().copy()
         for word, s in zip(words, self_raw.tolist()):

@@ -19,6 +19,8 @@ from .textio import read_rows, read_text
 
 HEADER_COLUMNS = ("language", "concept", "transcription", "cognate_class")
 _REQUIRED_COLUMNS = ("language", "concept", "transcription")
+_SYMBOLS = frozenset(ASJP_SOUNDS)
+_STRIP_MODIFIERS = dict.fromkeys(map(ord, MODIFIER_CHARS))  # a str.translate table
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,6 @@ def parse_wordlist(
     """
     if modifiers not in ("strip", "strict"):
         raise ValidationError(f"unknown modifier policy {modifiers!r}")
-    symbols = frozenset(ASJP_SOUNDS)
     lines = read_text(source).split("\n")
 
     header = lines[0].split("\t") if lines and lines[0] else []
@@ -151,14 +152,14 @@ def parse_wordlist(
         if not meaning:
             raise ValidationError("empty concept identifier", line=lineno)
         if modifiers == "strip":
-            word = "".join(ch for ch in word if ch not in MODIFIER_CHARS)
+            word = word.translate(_STRIP_MODIFIERS)
         if not word:
             raise ValidationError("empty transcription", line=lineno)
-        for ch in word:
-            if ch not in symbols:
-                raise ValidationError(
-                    f"symbol {ch!r} is not in the alphabet", line=lineno
-                )
+        if not _SYMBOLS.issuperset(word):
+            bad = next(ch for ch in word if ch not in _SYMBOLS)
+            raise ValidationError(
+                f"symbol {bad!r} is not in the alphabet", line=lineno
+            )
         gold = row[gold_at] if gold_at is not None else ""
         forms.append(WordForm(language, meaning, word, gold or None))
     return WordList(forms)

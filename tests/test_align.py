@@ -311,8 +311,9 @@ def mixed_forms(rng, count, max_len):
 def transposing_forms():
     """Repeated words in an order that makes the gather transpose pairs.
 
-    "b" is seen before "a", so forms 1 and 2 ("a", "b") read the distinct
-    pair that the kernel aligned as ("b", "a").
+    Distinct words are numbered longest first, so "cab" is numbered before
+    "b", and forms 0 and 5 ("b", "cab") read the distinct pair that the
+    kernel aligned as ("cab", "b").
     """
     words = ["b", "a", "b", "c", "a", "cab", "b", "cab"]
     return [WordForm(f"T{i}", "M", w) for i, w in enumerate(words)]
@@ -346,15 +347,29 @@ class TestBatchedKernel:
         aligned = []
         kernel = align._gotoh_batch
 
-        def counting(codes, first, *rest):
+        def counting(codes, first, second, *rest):
             aligned.append(len(first))
-            return kernel(codes, first, *rest)
+            first_lengths = [len(codes[k]) for k in first]
+            # Longest first: first words never lengthen, and never are the shorter.
+            assert first_lengths == sorted(first_lengths, reverse=True)
+            assert all(n >= len(codes[k]) for n, k in zip(first_lengths, second))
+            return kernel(codes, first, second, *rest)
 
         monkeypatch.setattr(align, "_gotoh_batch", counting)
         for forms in (transposing_forms(), mixed_forms(np.random.default_rng(3), 80, 4)):
             aligned.clear()
             similarity_matrix(forms, vanilla())
             assert aligned == [distinct_pairs(forms)]  # one call, d(d + 1) / 2 pairs
+
+    def test_permuting_forms_permutes_the_matrix(self):
+        rng = np.random.default_rng(21)
+        forms = mixed_forms(rng, 80, 5) + transposing_forms()
+        for scorer in (Scorer.vanilla(alphabet="abc"), SIGNED):  # SIGNED: -0.0 and -inf
+            values = similarity_matrix(forms, scorer).values
+            for _ in range(4):
+                p = rng.permutation(len(forms))
+                permuted = similarity_matrix([forms[k] for k in p], scorer).values
+                assert permuted.tobytes() == values[np.ix_(p, p)].tobytes()
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_empty_words_equal_enumeration(self, case):

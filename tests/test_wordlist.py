@@ -1,10 +1,13 @@
 """Word list parsing and validation tests."""
 
 import io
+import random
 
 import pytest
 
 from cogclust import (
+    ASJP_SOUNDS,
+    MODIFIER_CHARS,
     MeaningNotFoundError,
     ParseError,
     ValidationError,
@@ -144,6 +147,42 @@ class TestModifiers:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValidationError):
             parse(TABLE_SAMPLE, modifiers="ignore")
+
+    def test_first_of_two_foreign_symbols_is_named(self):
+        for modifiers in ("strip", "strict"):
+            with pytest.raises(ValidationError) as err:
+                parse(HEADER + "English\tALL\tol\tc1\nGerman\tALL\ta9l?\tc1\n", modifiers=modifiers)
+            assert str(err.value) == "line 3: symbol '9' is not in the alphabet"
+        with pytest.raises(ValidationError, match="'~'"):
+            parse(HEADER + "English\tALL\to~l9\tc1\n", modifiers="strict")
+
+    def test_both_modes_match_a_per_symbol_check(self):
+        # Random transcriptions of sounds, modifiers and foreign symbols give
+        # the forms or the first error of a check that visits each symbol.
+        def per_symbol(word, modifiers):
+            if modifiers == "strip":
+                word = "".join(ch for ch in word if ch not in MODIFIER_CHARS)
+            if not word:
+                return "line 2: empty transcription"
+            for ch in word:
+                if ch not in ASJP_SOUNDS:
+                    return f"line 2: symbol {ch!r} is not in the alphabet"
+            return word
+
+        rng = random.Random(3)
+        pool = list(ASJP_SOUNDS) * 2 + sorted(MODIFIER_CHARS) + list("9?-é ")
+        outcomes = set()
+        for _ in range(400):
+            word = "".join(rng.choices(pool, k=rng.randint(1, 5)))
+            for modifiers in ("strip", "strict"):
+                try:
+                    got = parse(HEADER + f"English\tALL\t{word}\tc1\n", modifiers=modifiers).forms[0].segments
+                except ValidationError as err:
+                    got = str(err)
+                want = per_symbol(word, modifiers)
+                assert got == want, (word, modifiers)
+                outcomes.add(want if want.startswith("line") else "form")
+        assert len(outcomes) > 5  # forms, empty words and several symbols named
 
 
 class TestDuplicates:
