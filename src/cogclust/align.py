@@ -16,11 +16,10 @@ pairs at once: all pairs of a meaning's distinct transcriptions for
 score, ``max(m, x, y)``, and builds the next cells from it. Every cell is
 still the three-way max of the same sums, bit for bit: the one candidate
 this adds never wins, because ``gap_open <= gap_extend`` and rounding is
-monotone.
-``similarity_matrix`` aligns each distinct transcription of a meaning once,
-longest first, and gathers the repeats from that distinct-form matrix. Every
-max is ``np.maximum``, and a zero score is returned as +0.0, so no result
-depends on which zero a numpy build's ``np.maximum`` keeps."""
+monotone. ``similarity_matrix`` aligns each distinct transcription of a
+meaning once, longest first, and gathers the repeats from that distinct-form
+matrix. Every max is ``np.maximum``, and a zero score is returned as +0.0, so
+no result depends on which zero a numpy build's ``np.maximum`` keeps."""
 
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -214,11 +213,11 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
             if ended:
                 done[ended] = h.ravel().take(cells)
 
-        h.T[:] = edge[:cols]
+        h.T[:] = edge[:cols]  # row 0: one gap run over the second word
         finish(0)
         for i in range(1, rows + 1):
             h_above, h = h, h_above
-            h[0] = edge[i]
+            h[0] = edge[i]  # column 0: one gap run over the first word
             # m into h: the best cell above-left plus the substitution score.
             np.add(b, a_rows[i - 1], out=at)
             np.add(h_above[:-1], flat_scores.take(at, out=cand), out=h[1:])
