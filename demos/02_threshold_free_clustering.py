@@ -2,8 +2,11 @@
 
 Every word starts in its own cluster. Each scan revisits the words: a word
 joins the cluster it is most similar to on average, or opens a new cluster
-when even the best average similarity drops below alpha. Three scans are
-normally enough; the run stops as soon as a scan changes nothing.
+when even the best average similarity drops below alpha. The run stops at
+the first scan that changes nothing, or after max_scans scans (3 by default)
+whether or not it converged. Every meaning of the demo word list converges
+within 3 scans, but on seed-1 planted benchmark lists 52 of 400 meanings of
+12 forms, and all 60 meanings of 100 forms, were still changing at the third.
 """
 
 import numpy as np

@@ -3,8 +3,9 @@
 Sound correspondences (like p ~ b between related languages) show up as
 segment pairs that sit in the same alignment column more often than chance.
 PMI turns that into a log-ratio score: positive above chance, negative below.
-The estimator consumes pre-aligned pairs; '-' marks a gap, and gap columns
-count toward neither the joint nor the marginal frequencies.
+The estimator consumes pre-aligned pairs; '-' marks a gap. A gap column
+adds nothing to the joint (segment-pair) frequencies, but its segment still
+counts toward that segment's marginal frequency.
 """
 
 import io

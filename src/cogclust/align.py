@@ -26,7 +26,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .alphabet import ASJP_SOUNDS, GAP
+from .alphabet import ASJP_SOUNDS, check_alphabet
 from .errors import DegenerateInputError, ValidationError
 from .wordlist import WordForm
 
@@ -60,24 +60,17 @@ class Scorer:
 
     ``scores[i, j]`` is the score of aligning the i-th alphabet symbol with
     the j-th. The table is square, symmetric and free of NaN and ``+inf``;
-    ``-inf`` marks a pair never observed by an unsmoothed PMI estimate, and
-    ``has_unobserved_pairs`` flags it. Build an identity table with
-    :meth:`vanilla`, load or estimate a PMI table with ``pmi.load_pmi`` or
-    ``pmi.estimate_pmi``, and give a table other gaps with :meth:`from_pmi`.
-    Aligning a word with a symbol outside the alphabet is an error. Instances
-    are immutable and safe for shared concurrent reads. The gap symbol ``-``
-    is never in the alphabet: gaps are priced by ``gaps`` alone.
+    ``-inf`` marks a pair never observed by an unsmoothed PMI estimate. Build
+    an identity table with :meth:`vanilla`, load or estimate a PMI table with
+    ``pmi.load_pmi`` or ``pmi.estimate_pmi``, and give a table other gaps
+    with :meth:`from_pmi`. Aligning a word with a symbol outside the alphabet
+    is an error. Instances are immutable and safe for shared concurrent
+    reads. The alphabet obeys ``alphabet.check_alphabet``; it never holds the
+    gap symbol ``-``, as gaps are priced by ``gaps`` alone.
     """
 
     def __init__(self, alphabet: Sequence[str], scores, gaps: GapParams | None = None):
-        self.alphabet = tuple(alphabet)
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValidationError("alphabet contains duplicate symbols")
-        if GAP in self.alphabet:
-            raise ValidationError(
-                f"the gap symbol {GAP!r} may not be part of a score table; "
-                "gap costs are aligner parameters"
-            )
+        self.alphabet = check_alphabet(alphabet)
         arr = np.array(scores, dtype=float)
         n = len(self.alphabet)
         if arr.shape != (n, n):
@@ -112,22 +105,16 @@ class Scorer:
 
     def substitution(self, x: str, y: str) -> float:
         """Score of aligning segment x with segment y."""
-        return float(self.scores[self._code(x), self._code(y)])
-
-    @property
-    def has_unobserved_pairs(self) -> bool:
-        return bool(np.isneginf(self.scores).any())
-
-    def _code(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise ValidationError(
-                f"segment {symbol!r} is not in the scorer alphabet"
-            ) from None
+        i, j = self._encode((x, y))
+        return float(self.scores[i, j])
 
     def _encode(self, word: Sequence[str]) -> list[int]:
-        return [self._code(ch) for ch in word]
+        try:
+            return [self._index[symbol] for symbol in word]
+        except KeyError as exc:
+            raise ValidationError(
+                f"segment {exc.args[0]!r} is not in the scorer alphabet"
+            ) from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scorer):
@@ -142,7 +129,7 @@ class Scorer:
         return f"Scorer({len(self.alphabet)} symbols, {self.gaps})"
 
 
-def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarray:
+def _gotoh_batch(codes, first, second, scorer: Scorer) -> np.ndarray:
     """Maximum affine-gap global alignment scores of pairs of int-coded words.
 
     Pair ``p`` aligns ``codes[first[p]]`` with ``codes[second[p]]``. The
@@ -171,6 +158,7 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
     score has the bits of the best path's left-to-right sum whichever zero a
     max keeps; adding +0.0 at the end makes every zero score +0.0.
     """
+    gap_open, gap_extend = scorer.gaps.gap_open, scorer.gaps.gap_extend
     lengths = np.array([len(c) for c in codes], dtype=np.intp)
     longest = int(lengths.max())
     words = np.array([c + [0] * (longest - len(c)) for c in codes], dtype=np.intp)
@@ -180,8 +168,8 @@ def _gotoh_batch(codes, first, second, scores, gap_open, gap_extend) -> np.ndarr
     for _ in range(longest):
         edge.append(run)
         run += gap_extend
-    flat_scores = scores.ravel()
-    n = scores.shape[0]
+    flat_scores = scorer.scores.ravel()
+    n = len(scorer.alphabet)
     total = len(first)
     out = np.empty(total)
     for start in range(0, total, _CHUNK_PAIRS):
@@ -245,15 +233,7 @@ def nw_score(a: Sequence[str], b: Sequence[str], scorer: Scorer) -> float:
     zero score is +0.0. Empty sequences are legal (their only alignment is
     one all-gap run), though real word forms are never empty.
     """
-    score = _gotoh_batch(
-        [scorer._encode(a), scorer._encode(b)],
-        [0],
-        [1],
-        scorer.scores,
-        scorer.gaps.gap_open,
-        scorer.gaps.gap_extend,
-    )
-    return float(score[0])
+    return float(_gotoh_batch([scorer._encode(a), scorer._encode(b)], [0], [1], scorer)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,12 +247,9 @@ class SimilarityMatrix:
     values: np.ndarray
     forms: tuple
 
-    def words(self) -> tuple[str, ...]:
-        return tuple(f.segments for f in self.forms)
-
     def to_tsv(self, sink: IO) -> None:
         """Debug dump with word transcriptions as row and column headers."""
-        words = self.words()
+        words = [f.segments for f in self.forms]
         sink.write("\t" + "\t".join(words) + "\n")
         for i, word in enumerate(words):
             cells = "\t".join(repr(float(v)) for v in self.values[i])
@@ -310,14 +287,7 @@ def similarity_matrix(
     d = len(codes)
     rows, cols = np.nonzero(np.tri(d, dtype=bool).T)
     distinct = np.empty((d, d))
-    distinct[rows, cols] = distinct[cols, rows] = _gotoh_batch(
-        codes,
-        rows,
-        cols,
-        scorer.scores,
-        scorer.gaps.gap_open,
-        scorer.gaps.gap_extend,
-    )
+    distinct[rows, cols] = distinct[cols, rows] = _gotoh_batch(codes, rows, cols, scorer)
     raw = distinct.take(inv, axis=0).take(inv, axis=1)
     if normalize:
         self_raw = raw.diagonal().copy()

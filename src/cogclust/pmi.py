@@ -31,7 +31,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .align import Scorer
-from .alphabet import ASJP_SOUNDS, GAP
+from .alphabet import ASJP_SOUNDS, GAP, check_alphabet
 from .errors import DegenerateInputError, MatrixFormatError, ValidationError
 from .textio import open_sink, read_rows, read_text
 
@@ -51,11 +51,12 @@ def estimate_pmi(
     to every unordered joint cell; marginals receive the pseudo-counts those
     joint cells induce (a symbol gains ``smoothing * (len(alphabet) + 1)``
     pseudo-occurrences). With ``smoothing=0`` unobserved pairs score ``-inf``,
-    as does an unobserved pair whose smoothed share underflows to 0.
+    as does an unobserved pair whose smoothed share underflows to 0. A bad
+    alphabet is reported before any pair is read.
     """
     if not 0 <= smoothing < math.inf:  # NaN fails too
         raise ValidationError("smoothing must be finite and >= 0")
-    symbols = tuple(alphabet)
+    symbols = check_alphabet(alphabet)
     n = len(symbols)
     m = n + 1  # codes per column side: the symbols, then the gap
     code = {s: i for i, s in enumerate(symbols)} | {GAP: n}
@@ -101,17 +102,10 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
     head = lines[0].split("\t") if lines and lines[0] else []
     if len(head) != 2 or head[0] != "alphabet":
         raise MatrixFormatError("first line must be 'alphabet<TAB><symbols>'", line=1)
-    symbols = head[1].split(" ")
-    if any(len(s) != 1 for s in symbols):
-        raise MatrixFormatError("alphabet symbols must be single characters", line=1)
-    if len(set(symbols)) != len(symbols):
-        raise MatrixFormatError("alphabet contains duplicate symbols", line=1)
-    if GAP in symbols:
-        raise MatrixFormatError(
-            f"the gap symbol {GAP!r} may not be part of a score table; "
-            "gap costs are aligner parameters",
-            line=1,
-        )
+    try:
+        symbols = check_alphabet(head[1].split(" "))
+    except ValidationError as exc:
+        raise MatrixFormatError(str(exc), line=1) from None
     index = {s: i for i, s in enumerate(symbols)}
     n = len(symbols)
     scores = np.zeros((n, n), dtype=float)

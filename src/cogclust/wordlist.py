@@ -66,12 +66,12 @@ class WordList:
                 continue
             seen[key] = form
             kept.append(form)
-        self._forms = tuple(kept)
+        self.forms = tuple(kept)
         self.duplicates_collapsed = dropped
 
         by_meaning: dict[str, list[WordForm]] = {}
         languages: dict[str, None] = {}
-        for form in self._forms:
+        for form in self.forms:
             by_meaning.setdefault(form.meaning, []).append(form)
             languages.setdefault(form.language, None)
         for meaning, group in by_meaning.items():
@@ -85,10 +85,6 @@ class WordList:
         self.meanings = tuple(by_meaning)
         self.languages = tuple(languages)
 
-    @property
-    def forms(self) -> tuple[WordForm, ...]:
-        return self._forms
-
     def forms_for_meaning(self, meaning: str) -> tuple[WordForm, ...]:
         """All forms expressing ``meaning``, in file order."""
         try:
@@ -97,19 +93,19 @@ class WordList:
             raise MeaningNotFoundError(f"unknown meaning {meaning!r}") from None
 
     def __len__(self) -> int:
-        return len(self._forms)
+        return len(self.forms)
 
     def __iter__(self):
-        return iter(self._forms)
+        return iter(self.forms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WordList):
             return NotImplemented
-        return self._forms == other._forms
+        return self.forms == other.forms
 
     def __repr__(self) -> str:
         return (
-            f"WordList({len(self._forms)} forms, {len(self.meanings)} meanings, "
+            f"WordList({len(self.forms)} forms, {len(self.meanings)} meanings, "
             f"{len(self.languages)} languages)"
         )
 

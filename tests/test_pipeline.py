@@ -13,6 +13,7 @@ from cogclust import (
     CrpConfig,
     Partition,
     Scorer,
+    ValidationError,
     WordForm,
     WordList,
     cluster_meaning,
@@ -134,6 +135,29 @@ class TestClusterWordlist:
         wl = sample_wordlist()
         scorer = Scorer.vanilla()
         assert cluster_wordlist(wl, scorer, jobs=2) == cluster_wordlist(wl, scorer, jobs=1)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_worker_error_reaches_the_caller_as_in_a_serial_run(self, monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            partial(ProcessPoolExecutor, mp_context=context))
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        # Word "a" scores -1 against itself, so it cannot be normalized.
+        scorer = Scorer(("a", "b"), [[-1.0, -2.0], [-2.0, 3.0]])
+        wl = WordList(
+            WordForm(lang, f"M{m}", word)
+            for m in range(4)
+            for lang, word in (("A", "b"), ("B", "a" if m == 2 else "bb"))
+        )
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError) as err:
+                cluster_wordlist(wl, scorer, normalize=True, jobs=jobs)
+            assert str(err.value) == "cannot normalize: word 'a' has non-positive self-similarity -1.0"
+            # A worker's error carries the worker's traceback as its cause.
+            assert (type(err.value.__cause__).__name__ == "_RemoteTraceback") == (jobs == 2)
 
     def test_importing_the_cli_leaves_the_process_pool_out(self):
         # The pool module pulls in multiprocessing; only a run with jobs > 1

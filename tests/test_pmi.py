@@ -134,7 +134,75 @@ class TestSaveLoadRoundTrip:
         save_pmi(m, buf)
         again = load_pmi(io.StringIO(buf.getvalue()))
         assert again == m
-        assert again.has_unobserved_pairs
+        assert np.isneginf(again.scores).any()
+
+
+# Alphabets outside the rule of alphabet.check_alphabet, each with its message.
+BAD_ALPHABETS = {
+    "empty": ((), "alphabet is empty"),
+    "two characters": (("a", "bc"), "alphabet symbols must be single characters"),
+    "empty symbol": (("a", ""), "alphabet symbols must be single characters"),
+    **{
+        name: (("a", sep), f"alphabet symbol {sep!r} separates the fields of a matrix file")
+        for name, sep in (("space", " "), ("tab", "\t"), ("CR", "\r"), ("LF", "\n"))
+    },
+    "duplicate": (("a", "b", "a"), "alphabet contains duplicate symbols"),
+    "gap": (("a", "-"), "the gap symbol '-' may not be part of a score table; "
+                        "gap costs are aligner parameters"),
+}
+
+
+class TestAlphabetRule:
+    @pytest.mark.parametrize("case", sorted(BAD_ALPHABETS))
+    def test_rejected_by_scorer_and_by_estimate_before_any_pair(self, case):
+        alphabet, message = BAD_ALPHABETS[case]
+        taken = []
+
+        def pairs():
+            for pair in [("ab", "ab"), ("a-", "-b")]:
+                taken.append(pair)
+                yield pair
+
+        for build in (
+            lambda: Scorer(alphabet, np.zeros((len(alphabet), len(alphabet)))),
+            lambda: estimate_pmi(pairs(), 0.1, alphabet=alphabet),
+        ):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert str(err.value) == message
+        assert taken == []
+
+    def test_every_accepted_table_round_trips_and_every_rejected_alphabet_fails_on_line_1(self):
+        rng = np.random.default_rng(43)
+        # Symbols the rule allows, line and space marks that the file does
+        # not split on included.
+        pool = list(ASJP_SOUNDS) + list("\u00e9\u4e2d_~\x0b\x0c\x1c\x85\xa0\u2028\ufeff")
+        values = [0.0, -0.0, float("-inf"), 1.5, -2.25, 1e-300, -7e300]
+        bad_symbols = ["", "ab", " ", "\t", "\r", "\n", "-"]
+        rejected = [alphabet for alphabet, _ in BAD_ALPHABETS.values()]
+        for _ in range(60):
+            k = int(rng.integers(1, 9))
+            alphabet = tuple(pool[i] for i in rng.choice(len(pool), size=k, replace=False))
+            table = rng.choice(values, size=(k, k))
+            table = np.where(np.triu(np.ones((k, k), dtype=bool)), table, table.T)
+            t = Scorer(alphabet, table)
+            buf = io.StringIO()
+            save_pmi(t, buf)
+            again = load_pmi(io.StringIO(buf.getvalue()))
+            assert again == t
+            assert again.scores.tobytes() == t.scores.tobytes()  # -0.0 and -inf kept
+            bad = list(alphabet)
+            bad.insert(int(rng.integers(0, k + 1)), str(rng.choice(bad_symbols + [alphabet[0]])))
+            rejected.append(tuple(bad))
+        for alphabet in rejected:
+            with pytest.raises(ValidationError) as rule:
+                Scorer(alphabet, np.zeros((len(alphabet), len(alphabet))))
+            with pytest.raises(MatrixFormatError) as err:
+                load_pmi(io.StringIO("alphabet\t" + " ".join(alphabet) + "\n"))
+            assert err.value.line == 1
+            if alphabet and set(alphabet).isdisjoint(" \t\r\n"):
+                # The header reads back the same symbols, so the same message.
+                assert str(err.value) == f"line 1: {rule.value}"
 
 
 def random_aligned_corpus(rng, symbols="peko", n_pairs=8, max_len=6):
@@ -238,10 +306,10 @@ class TestEstimatePmi:
 
     def test_zero_smoothing_flags_unobserved_pairs(self):
         m = estimate_pmi([("a", "a")], smoothing=0, alphabet=("a", "b"))
-        assert m.has_unobserved_pairs
+        assert np.isneginf(m.scores).any()
         assert m.substitution("a", "b") == float("-inf")
         smoothed = estimate_pmi([("a", "a")], smoothing=0.1, alphabet=("a", "b"))
-        assert not smoothed.has_unobserved_pairs
+        assert not np.isneginf(smoothed.scores).any()
 
     def test_all_gap_corpus_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
