@@ -148,9 +148,10 @@ def _gotoh_batch(codes, first, second, scorer: Scorer) -> np.ndarray:
     ``GapParams`` keeps ``gap_open <= gap_extend`` and rounding is monotone,
     ``v + gap_open <= v + gap_extend``, and ``max(a, b) + c`` is the larger of
     ``a + c`` and ``b + c``. So every cell is the max of the same sums as the
-    three-state recurrence's. A row is ``(len_b + 1, pairs)``. A pair's score
-    is read from ``h`` at its end cell, in the row where its first word ends;
-    cells past either word's end run over zero padding and are never read.
+    three-state recurrence's. A row is ``(len_b + 1, pairs)``; cells past
+    either word's end run over zero padding and are never read. Precondition:
+    first-word lengths never increase along the batch, so the pairs whose
+    first word ends in a row are one block, read from ``h`` with one slice.
 
     No cell is NaN, as no table holds +inf, so a max can pick between equal
     values only when they are zeros of opposite sign. The sign of a zero
@@ -182,12 +183,10 @@ def _gotoh_batch(codes, first, second, scorer: Scorer) -> np.ndarray:
         a_rows = np.ascontiguousarray(words[first[chunk], :len_a.max()].T) * n
         b = np.ascontiguousarray(words[second[chunk], :len_b.max()].T)
         rows, cols = len(a_rows), len(b) + 1
-        # Pair p ends in row len_a[p], at flat offset len_b[p] * pairs + p.
-        ends = [([], []) for _ in range(rows + 1)]
-        for p, (i, j) in enumerate(zip(len_a.tolist(), len_b.tolist())):
-            ended, cells = ends[i]
-            ended.append(p)
-            cells.append(j * pairs + p)
+        # at_least[i] pairs have a first word of i or more symbols, so those
+        # ending in row i are the block at_least[i + 1]:at_least[i] of cells.
+        at_least = np.cumsum(np.bincount(len_a, minlength=rows + 2)[::-1])[::-1].tolist()
+        cells = len_b * pairs + np.arange(pairs)  # each pair's end in a flat row
         # x and y are updated in place: a cell of either reads only its own
         # column above or the cell to its left. Column 0 of x is never read;
         # its boundary run is h[0].
@@ -197,9 +196,8 @@ def _gotoh_batch(codes, first, second, scorer: Scorer) -> np.ndarray:
         step = np.empty(pairs)
 
         def finish(i):
-            ended, cells = ends[i]
-            if ended:
-                done[ended] = h.ravel().take(cells)
+            block = slice(at_least[i + 1], at_least[i])
+            done[block] = h.ravel().take(cells[block])
 
         h.T[:] = edge[:cols]  # row 0: one gap run over the second word
         finish(0)
@@ -277,9 +275,9 @@ def similarity_matrix(
     # A score depends only on the two words, so number the distinct words
     # longest first (equal lengths by first appearance), align their upper
     # triangle (self pairs included) in one batch, mirror it, and gather
-    # every form's row and column from it. Row-major upper-triangle order
-    # makes a pair's first word never the shorter, and a later chunk of the
-    # batch hold only words no longer than an earlier one's.
+    # every form's row and column from it. Longest first is required, not
+    # only faster: row-major upper-triangle order then gives _gotoh_batch
+    # first words that never lengthen and are never the shorter of a pair.
     distinct_words = sorted(dict.fromkeys(words), key=len, reverse=True)
     index = {w: k for k, w in enumerate(distinct_words)}
     inv = [index[w] for w in words]

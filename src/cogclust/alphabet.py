@@ -34,6 +34,8 @@ def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
             raise ValidationError("alphabet symbols must be single characters")
         if s in " \t\r\n":
             raise ValidationError(f"alphabet symbol {s!r} separates the fields of a matrix file")
+        if "\ud800" <= s <= "\udfff":
+            raise ValidationError(f"alphabet symbol {s!r} is a lone surrogate, which UTF-8 cannot encode")
     if len(set(symbols)) != len(symbols):
         raise ValidationError("alphabet contains duplicate symbols")
     if GAP in symbols:

@@ -6,13 +6,14 @@ in a loop, or over a process pool when ``jobs`` exceeds one; results are merged
 in meaning order, making output independent of worker scheduling.
 """
 
+import operator
 import os
 from functools import partial
 from typing import IO, Sequence
 
 from .align import Scorer, similarity_matrix
 from .crp import CrpConfig, Partition, crp_cluster, flat_cluster_threshold
-from .errors import MeaningNotFoundError
+from .errors import MeaningNotFoundError, ValidationError
 from .wordlist import WordForm, WordList
 
 SYNONYM_POLICY = "all transcriptions of a (language, meaning) kept as separate items"
@@ -59,8 +60,16 @@ def cluster_wordlist(
     """Cluster every meaning; returns partitions keyed in meaning order.
 
     ``jobs`` worker processes are used, capped at the usable CPUs and the
-    number of meanings; ``None`` means all usable CPUs.
+    number of meanings; ``None`` means all usable CPUs. ``jobs`` must be an
+    integer of at least 1 otherwise.
     """
+    if jobs is not None:
+        try:
+            jobs = operator.index(jobs)
+        except TypeError:
+            raise ValidationError("jobs must be an integer") from None
+        if jobs < 1:
+            raise ValidationError("jobs must be at least 1")
     work = partial(
         cluster_meaning, scorer=scorer, config=config,
         threshold=threshold, normalize=normalize,

@@ -1,6 +1,8 @@
 """Alignment scoring tests, anchored by the exhaustive-enumeration oracle."""
 
+import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +13,19 @@ from cogclust import (
     ValidationError,
     DegenerateInputError,
     WordForm,
+    cluster_wordlist,
+    estimate_pmi,
     nw_score,
+    parse_wordlist,
     similarity_matrix,
+    write_partitions,
 )
 
 from cogclust import align
 from cogclust.align import _CHUNK_PAIRS
 from oracles import alignment_best_score
 
+ROOT = Path(__file__).resolve().parents[1]
 NEG_INF = float("-inf")
 
 
@@ -372,6 +379,28 @@ class TestBatchedKernel:
                 assert permuted.tobytes() == values[np.ix_(p, p)].tobytes()
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_rows_that_end_no_pair_and_blocks_across_chunks(self, case):
+        # Lengths 1, 2, 7 and 8 only: rows 3 to 6 end no pair, and the pairs
+        # whose first word has 8 symbols, numbered first, outrun one chunk.
+        scorer = KERNEL_CASES[case]
+        rng = np.random.default_rng(31)
+        words = ["a", "b", "ca", "bb", "ac"]
+        while len(words) < 60:
+            word = "".join(rng.choice(list("abc"), size=7 + len(words) % 2))
+            if word not in words:
+                words.append(word)
+        forms = [WordForm(f"L{i}", "M", w) for i, w in enumerate(words)]
+        eights = sum(len(w) == 8 for w in words)
+        assert sum(len(words) - k for k in range(eights)) > _CHUNK_PAIRS
+        sm = similarity_matrix(forms, scorer)
+        for i, a in enumerate(words):
+            for j in range(i, len(words)):
+                raw = scalar_gotoh(a, words[j], scorer)
+                want = raw if raw > 0 else 0.0  # a clamped non-positive score is +0.0
+                assert same_bits(sm.values[i, j], want), (case, a, words[j])
+                assert same_bits(sm.values[j, i], want), (case, a, words[j])
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_empty_words_equal_enumeration(self, case):
         scorer = KERNEL_CASES[case]
         gaps = scorer.gaps
@@ -452,3 +481,31 @@ class TestBatchedKernel:
                         raw = scalar_gotoh(fi.segments, fj.segments, scorer)
                         # A non-positive score, -0.0 included, clamps to +0.0.
                         assert same_bits(sm.values[i, j], raw if raw > 0 else 0.0), (trial, i, j)
+
+
+class TestPlantedBytes:
+    @pytest.mark.parametrize("scorer_name, digest", [
+        ("vanilla", "4137ddf4bc50eb09695ad9f508c2f87c13c0c46c30cb50ce6c791b8c38734a64"),
+        ("pmi", "91fa6fb710b73f5e7f97a57ee72e2247b008b1088f11bd83737a6dfaecd1388f"),
+    ], ids=["vanilla", "pmi"])
+    def test_matrices_and_partitions_of_planted_list_are_pinned(
+        self, monkeypatch, scorer_name, digest
+    ):
+        # Every bit the aligner writes: a change in the kernel's order of
+        # float operations, or in which pairs it reads, changes the text.
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from plant import Shape, planted_wordlist
+
+        planted = planted_wordlist(5, Shape(meanings=8, languages=60, proto_len=(3, 9), classes=(1, 8)))
+        wordlist = parse_wordlist(io.StringIO(planted.wordlist_tsv()))
+        meanings = [wordlist.forms_for_meaning(m) for m in wordlist.meanings]
+        assert max(distinct_pairs(forms) for forms in meanings) > _CHUNK_PAIRS
+        if scorer_name == "vanilla":
+            scorer = Scorer.vanilla()
+        else:
+            scorer = estimate_pmi(planted.pairs, 0.1)
+        buf = io.StringIO()
+        for forms in meanings:
+            similarity_matrix(forms, scorer).to_tsv(buf)
+        write_partitions(wordlist, cluster_wordlist(wordlist, scorer, jobs=1), buf)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest

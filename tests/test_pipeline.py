@@ -122,6 +122,17 @@ class TestClusterWordlist:
         assert cluster_wordlist(sample_wordlist(), scorer, jobs=10_000)
         assert sizes == [3, 3, 2, 2]
 
+    @pytest.mark.parametrize("jobs, message", [
+        (0, "jobs must be at least 1"),
+        (-2, "jobs must be at least 1"),
+        (1.5, "jobs must be an integer"),
+        ("2", "jobs must be an integer"),
+    ])
+    def test_jobs_below_one_or_not_an_integer_rejected(self, jobs, message):
+        with pytest.raises(ValidationError) as err:
+            cluster_wordlist(sample_wordlist(), Scorer.vanilla(), jobs=jobs)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_under_start_method(self, monkeypatch, method):
         # Unlike fork, these start methods pickle the worker's bound job.

@@ -146,6 +146,10 @@ BAD_ALPHABETS = {
         name: (("a", sep), f"alphabet symbol {sep!r} separates the fields of a matrix file")
         for name, sep in (("space", " "), ("tab", "\t"), ("CR", "\r"), ("LF", "\n"))
     },
+    **{
+        name: (("a", sur), f"alphabet symbol {sur!r} is a lone surrogate, which UTF-8 cannot encode")
+        for name, sur in (("high surrogate", "\ud800"), ("low surrogate", "\udfff"))
+    },
     "duplicate": (("a", "b", "a"), "alphabet contains duplicate symbols"),
     "gap": (("a", "-"), "the gap symbol '-' may not be part of a score table; "
                         "gap costs are aligner parameters"),
