@@ -193,14 +193,10 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print("cogclust: no gold cognate classes found; nothing to evaluate",
               file=sys.stderr)
         return 0
-    report = evaluate_dataset(
-        {m: partitions[m] for m in wordlist.meanings if m in gold},
-        gold,
-        metadata={
-            "meanings_without_gold": len(wordlist.meanings) - len(gold),
-            "synonym_policy": SYNONYM_POLICY,
-        },
-    )
+    report = evaluate_dataset(partitions, gold, metadata={
+        "meanings_without_gold": len(wordlist.meanings) - len(gold),
+        "synonym_policy": SYNONYM_POLICY,
+    })
     text = render_report(report, percent=args.percent)
     if not args.out:
         sys.stdout.write(text)

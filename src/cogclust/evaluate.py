@@ -39,12 +39,6 @@ def _total(values) -> float:
     return total
 
 
-def _harmonic_mean(p: float, r: float) -> float:
-    if p + r == 0:
-        return 0.0
-    return 2.0 * p * r / (p + r)
-
-
 def bcubed(predicted: Partition, gold: Partition) -> BcubedScore:
     """B-cubed precision, recall and F of a predicted partition against gold.
 
@@ -71,7 +65,8 @@ def bcubed(predicted: Partition, gold: Partition) -> BcubedScore:
         recall_total += shared / gold_size[l]
     precision = precision_total / n
     recall = recall_total / n
-    return BcubedScore(precision, recall, _harmonic_mean(precision, recall))
+    # Never 0/0: each item shares its own cluster and class, so precision > 0.
+    return BcubedScore(precision, recall, 2.0 * precision * recall / (precision + recall))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -117,25 +112,24 @@ def evaluate_dataset(
     gold: Mapping[str, Partition],
     metadata: Mapping | None = None,
 ) -> EvalReport:
-    """Score predicted partitions against gold partitions, meaning by meaning."""
-    if set(predictions) != set(gold):
-        only_pred = sorted(set(predictions) - set(gold))
-        only_gold = sorted(set(gold) - set(predictions))
-        raise ValidationError(
-            f"meaning keys differ (only predicted: {only_pred}, only gold: {only_gold})"
-        )
-    if not predictions:
-        raise ValidationError("no meanings to evaluate")
+    """Score predicted partitions against gold partitions, meaning by meaning.
+
+    Predicted meanings with gold are scored, in prediction order; the others
+    are left out. Every gold meaning must have a prediction.
+    """
+    if missing := [m for m in gold if m not in predictions]:
+        raise ValidationError(f"gold meanings without a prediction: {missing}")
     per_meaning: dict[str, MeaningEval] = {}
-    for meaning in predictions:
-        pred = predictions[meaning]
-        true = gold[meaning]
+    for meaning in [m for m in predictions if m in gold]:
+        pred, true = predictions[meaning], gold[meaning]
         if pred.n != true.n:
             raise ValidationError(
                 f"meaning {meaning!r}: predicted partition covers {pred.n} items "
                 f"but gold covers {true.n}"
             )
         per_meaning[meaning] = MeaningEval(bcubed(pred, true), pred.k, true.k)
+    if not per_meaning:
+        raise ValidationError("no meanings to evaluate")
     count = len(per_meaning)
     aggregate = BcubedScore(
         _total(e.score.precision for e in per_meaning.values()) / count,

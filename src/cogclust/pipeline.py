@@ -125,11 +125,18 @@ def gold_partitions(
 def write_partitions(
     wordlist: WordList, partitions: dict[str, Partition], sink: IO
 ) -> None:
-    """Write partitions as TSV: meaning, language, transcription, cluster_id."""
+    """Write partitions as TSV: meaning, language, transcription, cluster_id.
+
+    Meanings are written in the order of ``partitions``. Each must be a
+    meaning of ``wordlist`` whose partition covers all of its forms.
+    """
     sink.write("meaning\tlanguage\ttranscription\tcluster_id\n")
-    for meaning in wordlist.meanings:
-        if meaning not in partitions:
-            continue
-        labels = partitions[meaning].labels
-        for form, label in zip(wordlist.forms_for_meaning(meaning), labels):
+    for meaning, partition in partitions.items():
+        forms = wordlist.forms_for_meaning(meaning)
+        if partition.n != len(forms):
+            raise ValidationError(
+                f"meaning {meaning!r}: partition covers {partition.n} items "
+                f"but the word list has {len(forms)} forms"
+            )
+        for form, label in zip(forms, partition.labels):
             sink.write(f"{meaning}\t{form.language}\t{form.segments}\t{label}\n")

@@ -102,6 +102,12 @@ class TestCluster:
         assert captured.out == ""
         assert "--jobs: must be at least 1" in captured.err
 
+    def test_jobs_not_an_integer_is_usage_error(self, sample_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["cluster", "--input", str(sample_file), "--jobs", "abc"])
+        assert err.value.code == 2
+        assert "--jobs: invalid int value: 'abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand, flags, message", [
         ("cluster", ["--threshold", "nan"], "threshold"),
         ("cluster", ["--gap-open", "nan"], "gap penalties"),

@@ -132,6 +132,12 @@ class TestCrpFixtures:
         with pytest.raises(DegenerateInputError):
             crp_cluster(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("cluster", [crp_cluster, lambda s: flat_cluster_threshold(s, 0.5)],
+                             ids=["crp", "flat"])
+    def test_non_square_matrix_rejected(self, cluster):
+        with pytest.raises(ValidationError, match="must be square"):
+            cluster(np.zeros((2, 3)))
+
 
 class TestCrpAgainstReference:
     def test_random_matrices(self):

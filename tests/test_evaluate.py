@@ -184,11 +184,22 @@ class TestEvaluateDataset:
         report = evaluate_dataset(gold, gold)
         assert math.isnan(report.cluster_count_correlation)
 
-    def test_key_mismatch_rejected(self):
+    def test_gold_meaning_without_prediction_rejected(self):
         predictions, gold = two_meaning_setup()
-        del gold["AND"]
-        with pytest.raises(ValidationError, match="AND"):
+        del predictions["AND"]
+        with pytest.raises(ValidationError, match=r"without a prediction: \['AND'\]"):
             evaluate_dataset(predictions, gold)
+
+    def test_predicted_meaning_without_gold_not_scored(self):
+        predictions, gold = two_meaning_setup()
+        del gold["ALL"]
+        predictions["ZZZ"] = Partition((0, 1))
+        report = evaluate_dataset(predictions, gold)
+        assert list(report.per_meaning) == ["AND"]
+        assert report.aggregate == report.per_meaning["AND"].score
+        assert "meanings_evaluated  1" in render_report(report)
+        with pytest.raises(ValidationError, match="no meanings to evaluate"):
+            evaluate_dataset({"ZZZ": Partition((0, 1))}, {})
 
     def test_item_count_mismatch_rejected(self):
         predictions, gold = two_meaning_setup()

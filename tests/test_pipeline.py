@@ -11,6 +11,7 @@ import pytest
 
 from cogclust import (
     CrpConfig,
+    MeaningNotFoundError,
     Partition,
     Scorer,
     ValidationError,
@@ -232,3 +233,19 @@ class TestWritePartitions:
         assert lines[1] == "ALL\tEnglish\tol\t0"
         assert lines[5] == "ALL\tSwedish\tala\t0"
         assert len(lines) == 11
+
+    def test_meanings_written_in_the_order_given(self):
+        wl = sample_wordlist()
+        buf = io.StringIO()
+        write_partitions(wl, {"AND": Partition((0,) * 5), "ALL": Partition((0,) * 5)}, buf)
+        rows = buf.getvalue().strip().split("\n")[1:]
+        assert [r.split("\t")[0] for r in rows] == ["AND"] * 5 + ["ALL"] * 5
+
+    def test_partition_of_the_wrong_size_rejected(self):
+        with pytest.raises(ValidationError, match="'ALL': partition covers 1 items "
+                                                  "but the word list has 5 forms"):
+            write_partitions(sample_wordlist(), {"ALL": Partition((0,))}, io.StringIO())
+
+    def test_unknown_meaning_rejected(self):
+        with pytest.raises(MeaningNotFoundError, match="'HAND'"):
+            write_partitions(sample_wordlist(), {"HAND": Partition((0,))}, io.StringIO())

@@ -118,6 +118,19 @@ class TestParseErrors:
         with pytest.raises(ValidationError, match="empty transcription"):
             parse(HEADER + "English\tALL\t\tc1\n")
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("language\tconcept\ttranscription\tconcept\n", ParseError,
+         "line 1: duplicate column 'concept'"),
+        (HEADER + "English\tALL\tol\tc1\n\tALL\tal3\tc1\n", ValidationError,
+         "line 3: empty language identifier"),
+        (HEADER + "English\tALL\tol\tc1\nGerman\t\tal3\tc1\n", ValidationError,
+         "line 3: empty concept identifier"),
+    ], ids=["duplicate column", "empty language", "empty concept"])
+    def test_rejected_naming_its_line(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_missing_required_column(self):
         with pytest.raises(ParseError, match="transcription"):
             parse("language\tconcept\nEnglish\tALL\n")
