@@ -19,14 +19,9 @@ import urllib.parse
 from . import __version__
 from .align import GapParams, Scorer, similarity_matrix
 from .crp import LINKAGES, CrpConfig
-from .errors import (
-    DegenerateInputError,
-    MeaningNotFoundError,
-    ParseError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .evaluate import evaluate_dataset, render_report, render_report_kv
-from .pipeline import SYNONYM_POLICY, cluster_wordlist, gold_partitions, write_partitions
+from .pipeline import cluster_wordlist, gold_partitions, write_partitions
 from .pmi import DEFAULT_SMOOTHING, estimate_pmi, load_pmi, save_pmi
 from .textio import open_sink, read_rows, read_text
 from .wordlist import parse_wordlist
@@ -46,16 +41,6 @@ def _add_scorer_args(sub):
                      help="divide raw scores by mean self-similarity before clamping")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_cluster_args(sub):
     config = CrpConfig()
     sub.add_argument("--alpha", type=float, default=config.alpha, metavar="F",
@@ -67,8 +52,8 @@ def _add_cluster_args(sub):
                      help="seeded random scan order instead of file order")
     sub.add_argument("--threshold", type=float, default=None, metavar="F",
                      help="use the flat agglomerative baseline at this threshold")
-    sub.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
-                     help="worker processes over meanings (default: all cores)")
+    sub.add_argument("--jobs", type=int, default=None, metavar="N",
+                     help="worker processes over meanings (default: all usable cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,10 +178,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print("cogclust: no gold cognate classes found; nothing to evaluate",
               file=sys.stderr)
         return 0
-    report = evaluate_dataset(partitions, gold, metadata={
-        "meanings_without_gold": len(wordlist.meanings) - len(gold),
-        "synonym_policy": SYNONYM_POLICY,
-    })
+    report = evaluate_dataset(partitions, gold)
     text = render_report(report, percent=args.percent)
     if not args.out:
         sys.stdout.write(text)
@@ -234,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"cogclust: parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, DegenerateInputError, MeaningNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"cogclust: validation error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

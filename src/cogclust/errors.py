@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is a ``ParseError`` (a source file could not be read as its
+format) or a ``ValidationError`` (the content or a setting breaks a rule).
+The command line exits 2 on the first and 3 on the second.
+"""
 
 
 class CogclustError(Exception):
@@ -27,12 +32,12 @@ class ValidationError(CogclustError):
     """Input data or configuration violates a documented constraint."""
 
 
-class MeaningNotFoundError(CogclustError, KeyError):
-    """Lookup of a meaning identifier that is not in the word list."""
+class MeaningNotFoundError(ValidationError, KeyError):
+    """Lookup of a meaning identifier that is not in the word list (also a ``KeyError``)."""
 
     def __str__(self) -> str:
         return self.args[0]
 
 
-class DegenerateInputError(CogclustError):
+class DegenerateInputError(ValidationError):
     """Input carries no usable content (no words, or no aligned segments)."""

@@ -14,13 +14,14 @@ constant count vector) are reported as ``nan``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .crp import Partition
 from .errors import ValidationError
 
 NAN = float("nan")
+SYNONYM_POLICY = "all transcriptions of a (language, meaning) kept as separate items"
 
 
 @dataclass(frozen=True)
@@ -97,25 +98,25 @@ class MeaningEval:
 class EvalReport:
     """Per-meaning scores plus dataset aggregates.
 
-    ``metadata`` records evaluation context such as the number of meanings
-    without gold labels and the synonym policy.
+    ``metadata`` records the evaluation context: ``meanings_without_gold``,
+    the number of predicted meanings left out for want of gold, and
+    ``synonym_policy``, how synonyms count as items.
     """
 
     per_meaning: dict[str, MeaningEval]
     aggregate: BcubedScore
     cluster_count_correlation: float
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def evaluate_dataset(
-    predictions: Mapping[str, Partition],
-    gold: Mapping[str, Partition],
-    metadata: Mapping | None = None,
+    predictions: Mapping[str, Partition], gold: Mapping[str, Partition]
 ) -> EvalReport:
     """Score predicted partitions against gold partitions, meaning by meaning.
 
     Predicted meanings with gold are scored, in prediction order; the others
-    are left out. Every gold meaning must have a prediction.
+    are left out, and the report's metadata counts them. Every gold meaning
+    must have a prediction.
     """
     if missing := [m for m in gold if m not in predictions]:
         raise ValidationError(f"gold meanings without a prediction: {missing}")
@@ -140,7 +141,11 @@ def evaluate_dataset(
         [e.predicted_k for e in per_meaning.values()],
         [e.true_k for e in per_meaning.values()],
     )
-    return EvalReport(per_meaning, aggregate, correlation, dict(metadata or {}))
+    metadata = {
+        "meanings_without_gold": len(predictions) - count,
+        "synonym_policy": SYNONYM_POLICY,
+    }
+    return EvalReport(per_meaning, aggregate, correlation, metadata)
 
 
 def _fmt(value: float, percent: bool) -> str:

@@ -16,8 +16,6 @@ from .crp import CrpConfig, Partition, crp_cluster, flat_cluster_threshold
 from .errors import MeaningNotFoundError, ValidationError
 from .wordlist import WordForm, WordList
 
-SYNONYM_POLICY = "all transcriptions of a (language, meaning) kept as separate items"
-
 
 def cluster_meaning(
     forms: Sequence[WordForm],

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,12 @@ from cogclust import (
     CrpConfig,
     GapParams,
     Scorer,
+    cluster_wordlist,
+    evaluate_dataset,
+    gold_partitions,
     load_pmi,
     parse_wordlist,
+    render_report,
     save_pmi,
     similarity_matrix,
 )
@@ -29,6 +34,7 @@ SAMPLE = (
     "Spanish\tALL\tto8o\tc2\n"
     "Swedish\tALL\tala\tc1\n"
 )
+DEMO_LIST = Path(__file__).resolve().parents[1] / "demos" / "data" / "germanic_romance.tsv"
 
 
 @pytest.fixture
@@ -94,13 +100,11 @@ class TestCluster:
 
     @pytest.mark.parametrize("subcommand", ["cluster", "evaluate"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage_error(self, sample_file, capsys, subcommand, jobs):
-        with pytest.raises(SystemExit) as err:
-            main([subcommand, "--input", str(sample_file), "--jobs", jobs])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--jobs: must be at least 1" in captured.err
+    def test_jobs_below_one_exits_3(self, sample_file, capsys, subcommand, jobs):
+        assert main([subcommand, "--input", str(sample_file), "--jobs", jobs]) == 3
+        assert capsys.readouterr() == (
+            "", "cogclust: validation error: jobs must be at least 1\n"
+        )
 
     def test_jobs_not_an_integer_is_usage_error(self, sample_file, capsys):
         with pytest.raises(SystemExit) as err:
@@ -208,6 +212,21 @@ class TestEvaluate:
         kv = (tmp_path / "parts.tsv.report.tsv").read_text(encoding="utf-8")
         assert "meanings_evaluated\t1" in kv
         assert "metadata\tmeanings_without_gold\t0" in kv
+
+    @pytest.mark.parametrize("text, without_gold", [
+        (DEMO_LIST.read_text(encoding="utf-8"), 0),
+        (SAMPLE + "English\tfoot\tfut\t\nGerman\tfoot\tfus\t\n", 1),
+    ], ids=["demo", "one-meaning-without-gold"])
+    def test_library_report_equals_the_cli_report(self, tmp_path, capsys, text, without_gold):
+        path = tmp_path / "words.tsv"
+        path.write_text(text, encoding="utf-8")
+        wl = parse_wordlist(path)
+        report = render_report(
+            evaluate_dataset(cluster_wordlist(wl, Scorer.vanilla()), gold_partitions(wl))
+        )
+        assert f"meanings_without_gold  {without_gold}\n" in report
+        assert main(["evaluate", "--input", str(path), "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == report
 
     def test_unwritable_report_leaves_every_output_as_it_was(self, tmp_path, sample_file, capsys):
         (tmp_path / "target.txt").write_text("old report\n", encoding="utf-8")
@@ -320,6 +339,14 @@ class TestPmiEstimate:
         assert capsys.readouterr().err == (
             "cogclust: parse error: line 3: expected 2 columns, got 3\n"
         )
+
+    def test_no_gap_free_column_exits_3(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a-\t-a\n", encoding="utf-8")
+        assert main(["pmi-estimate", "--input", str(pairs)]) == 3
+        assert capsys.readouterr() == ("", (
+            "cogclust: validation error: no non-gap co-occurrences in the aligned pairs\n"
+        ))
 
     def test_unequal_pair_lengths_exit_3(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"

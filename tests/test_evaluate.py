@@ -18,6 +18,8 @@ from cogclust import (
 
 from oracles import bcubed_brute
 
+SYNONYM_POLICY = "all transcriptions of a (language, meaning) kept as separate items"
+
 
 def random_partition(rng, n, max_k=None):
     k = int(rng.integers(1, (max_k or n) + 1))
@@ -213,8 +215,12 @@ class TestEvaluateDataset:
 
     def test_metadata_carried_through(self):
         predictions, gold = two_meaning_setup()
-        report = evaluate_dataset(predictions, gold, metadata={"meanings_without_gold": 3})
-        assert report.metadata["meanings_without_gold"] == 3
+        assert evaluate_dataset(predictions, gold).metadata["meanings_without_gold"] == 0
+        predictions["ZZZ"] = Partition((0, 1))
+        assert evaluate_dataset(predictions, gold).metadata == {
+            "meanings_without_gold": 1,
+            "synonym_policy": SYNONYM_POLICY,
+        }
 
 
 class TestReportRendering:
@@ -254,14 +260,14 @@ def three_meaning_report():
         "ALL": Partition((0, 0, 1, 1, 2)),
         "AND": Partition((0, 1, 1)),
         "tree bark": Partition((0, 0, 0, 0)),
+        "unlabelled": Partition((0, 1)),
     }
     gold = {
         "ALL": Partition((0, 0, 1, 2, 2)),
         "AND": Partition((0, 0, 1)),
         "tree bark": Partition((0, 1, 1, 0)),
     }
-    metadata = {"synonym_policy": "kept apart", "meanings_without_gold": 1}
-    return evaluate_dataset(predictions, gold, metadata=metadata)
+    return evaluate_dataset(predictions, gold)
 
 
 def nan_correlation_report():
@@ -285,7 +291,7 @@ class TestReportBytes:
             "cluster_count_correlation  0.8660\n"
             "meanings_evaluated  3\n"
             "meanings_without_gold  1\n"
-            "synonym_policy  kept apart\n"
+            f"synonym_policy  {SYNONYM_POLICY}\n"
         )
         assert render_report(report, percent=True) == (
             "meaning    precision  recall  f_score  pred_K  true_K\n"
@@ -297,7 +303,7 @@ class TestReportBytes:
             "cluster_count_correlation  86.60\n"
             "meanings_evaluated  3\n"
             "meanings_without_gold  1\n"
-            "synonym_policy  kept apart\n"
+            f"synonym_policy  {SYNONYM_POLICY}\n"
         )
 
     @pytest.mark.parametrize("percent, scores", [
@@ -330,7 +336,7 @@ class TestReportBytes:
             f"cluster_count_correlation\t{corr}\n"
             "meanings_evaluated\t3\n"
             "metadata\tmeanings_without_gold\t1\n"
-            "metadata\tsynonym_policy\tkept apart\n"
+            f"metadata\tsynonym_policy\t{SYNONYM_POLICY}\n"
         )
 
     def test_nan_correlation_without_metadata(self):
@@ -343,6 +349,8 @@ class TestReportBytes:
             "\n"
             "cluster_count_correlation  nan\n"
             "meanings_evaluated  2\n"
+            "meanings_without_gold  0\n"
+            f"synonym_policy  {SYNONYM_POLICY}\n"
         )
         assert render_report(report, percent=True) == (
             "meaning    precision  recall  f_score  pred_K  true_K\n"
@@ -352,6 +360,8 @@ class TestReportBytes:
             "\n"
             "cluster_count_correlation  nan\n"
             "meanings_evaluated  2\n"
+            "meanings_without_gold  0\n"
+            f"synonym_policy  {SYNONYM_POLICY}\n"
         )
         assert render_report_kv(report, percent=True) == (
             "meaning\tA\tprecision\t100.00\n"
@@ -369,4 +379,6 @@ class TestReportBytes:
             "aggregate\tf_score\t90.00\n"
             "cluster_count_correlation\tnan\n"
             "meanings_evaluated\t2\n"
+            "metadata\tmeanings_without_gold\t0\n"
+            f"metadata\tsynonym_policy\t{SYNONYM_POLICY}\n"
         )

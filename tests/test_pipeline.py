@@ -123,6 +123,20 @@ class TestClusterWordlist:
         assert cluster_wordlist(sample_wordlist(), scorer, jobs=10_000)
         assert sizes == [3, 3, 2, 2]
 
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_without_affinity_one_or_unknown_cpus_run_serially(self, monkeypatch, cpus):
+        # macOS and Windows have no sched_getaffinity: the CPU count caps the
+        # pool there, and an unknown count means one.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        wl = sample_wordlist()
+        scorer = Scorer.vanilla()
+        assert cluster_wordlist(wl, scorer, jobs=None) == cluster_wordlist(wl, scorer, jobs=1)
+
     @pytest.mark.parametrize("jobs, message", [
         (0, "jobs must be at least 1"),
         (-2, "jobs must be at least 1"),
