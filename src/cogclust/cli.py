@@ -135,8 +135,11 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         save_pmi(table, args.out or sys.stdout)
         return 0
 
-    wordlist = parse_wordlist(args.input)
+    out = args.out if args.subcommand == "evaluate" else None
+    if out and os.path.exists(out) and not os.path.isfile(out):  # reports go beside it
+        parser.error(f"--out {out} is not a regular file, so evaluate cannot name reports after it")
     scorer = _build_scorer(args, parser)
+    wordlist = parse_wordlist(args.input)
 
     if args.subcommand == "align":
         os.makedirs(args.out, exist_ok=True)

@@ -17,8 +17,9 @@ not depend on the Python version. Single linkage needs no sums: the matrix is
 fixed, so a word's best clusters are those of its nearest neighbours (the
 words at its row maximum), and it joins the lowest of their labels when that
 maximum reaches ``alpha``. A new cluster takes the label one above the
-highest in use; emptied labels below it are not filled, so labels can climb
-past the number of words before the final dense renumbering. A
+highest in use. A scan starts with labels below the word count n and opens
+at most n clusters, so labels stay below 2n: a scan that ends with a label
+at n or above renumbers the labels in use in order, which moves no tie. A
 ``shuffle_seed`` scan order still comes from numpy's ``Generator`` stream.
 
 The baseline keeps one cluster label per word as its whole membership state.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, ValidationError, checked_int
 
 _NEG_INF = float("-inf")
 LINKAGES = ("average", "single")
@@ -84,20 +85,12 @@ class CrpConfig:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValidationError("alpha must be > 0")
-        for name in ("max_scans", "shuffle_seed"):
-            value = getattr(self, name)
-            if value is None and name == "shuffle_seed":
-                continue
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer") from None
-        if self.max_scans < 1:
-            raise ValidationError("max_scans must be >= 1")
+        object.__setattr__(self, "max_scans", checked_int("max_scans", self.max_scans, 1))
+        if self.shuffle_seed is not None:
+            seed = checked_int("shuffle_seed", self.shuffle_seed, 0)
+            object.__setattr__(self, "shuffle_seed", seed)
         if self.linkage not in LINKAGES:
             raise ValidationError(f"unknown linkage {self.linkage!r}")
-        if self.shuffle_seed is not None and self.shuffle_seed < 0:
-            raise ValidationError("shuffle_seed must be >= 0")
 
 
 def _as_similarity_array(sim) -> np.ndarray:
@@ -123,10 +116,8 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     cfg = config or CrpConfig()
     sims = _as_similarity_array(sim)
     n = sims.shape[0]
-    if cfg.shuffle_seed is None:
-        order = list(range(n))
-    else:
-        order = [int(w) for w in np.random.default_rng(cfg.shuffle_seed).permutation(n)]
+    seed = cfg.shuffle_seed
+    order = range(n) if seed is None else np.random.default_rng(seed).permutation(n).tolist()
 
     # A word's own entry adds 0.0 to its label's sum, and as alpha > 0 the
     # word is never its own nearest neighbour.
@@ -145,10 +136,9 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     labels = np.arange(n)  # the whole cluster state: one label per word
     lab = labels.tolist()  # the same labels, read without numpy scalars
     # Members per label and max(size, 1) as divisors, updated when a word
-    # moves. A new label never fills a gap below the highest label in use,
-    # so labels can climb past n, and both grow when one reaches their length.
-    sizes = [1] * n
-    divisors = np.ones(n)
+    # moves. Each scan starts with labels below n and opens at most n more.
+    sizes = [1] * n + [0] * n
+    divisors = np.ones(2 * n)
     history: list[int] = []
     for _ in range(cfg.max_scans):
         changes = 0
@@ -180,9 +170,6 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
             else:
                 new = max(lab) + 1  # one above the highest label in use
             if new != old:
-                if new == len(sizes):
-                    sizes += [0] * len(sizes)
-                    divisors = np.concatenate((divisors, np.ones(len(divisors))))
                 sizes[old] -= 1
                 sizes[new] += 1
                 divisors[old] = max(sizes[old], 1)
@@ -192,6 +179,12 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
         history.append(changes)
         if changes == 0:
             break
+        if max(lab) >= n:  # renumber in order, so the next scan stays below 2n
+            rank = np.cumsum(np.array(sizes) > 0) - 1  # a label's place among those in use
+            labels = rank[labels]
+            lab = labels.tolist()
+            sizes.sort(key=bool, reverse=True)  # stable: labels in use first, in order
+            divisors = np.maximum(sizes, 1.0)
     return Partition.from_labels(lab), history
 
 

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the rule for integer settings.
 
 Every error is a ``ParseError`` (a source file could not be read as its
 format) or a ``ValidationError`` (the content or a setting breaks a rule).
 The command line exits 2 on the first and 3 on the second.
 """
+
+import operator
 
 
 class CogclustError(Exception):
@@ -41,3 +43,14 @@ class MeaningNotFoundError(ValidationError, KeyError):
 
 class DegenerateInputError(ValidationError):
     """Input carries no usable content (no words, or no aligned segments)."""
+
+
+def checked_int(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``, or a ``ValidationError``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer") from None
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}")
+    return value

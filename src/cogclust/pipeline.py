@@ -6,14 +6,13 @@ in a loop, or over a process pool when ``jobs`` exceeds one; results are merged
 in meaning order, making output independent of worker scheduling.
 """
 
-import operator
 import os
 from functools import partial
 from typing import IO, Sequence
 
 from .align import Scorer, similarity_matrix
 from .crp import CrpConfig, Partition, crp_cluster, flat_cluster_threshold
-from .errors import MeaningNotFoundError, ValidationError
+from .errors import MeaningNotFoundError, ValidationError, checked_int
 from .wordlist import WordForm, WordList
 
 
@@ -61,13 +60,7 @@ def cluster_wordlist(
     number of meanings; ``None`` means all usable CPUs. ``jobs`` must be an
     integer of at least 1 otherwise.
     """
-    if jobs is not None:
-        try:
-            jobs = operator.index(jobs)
-        except TypeError:
-            raise ValidationError("jobs must be an integer") from None
-        if jobs < 1:
-            raise ValidationError("jobs must be at least 1")
+    jobs = None if jobs is None else checked_int("jobs", jobs, 1)
     work = partial(
         cluster_meaning, scorer=scorer, config=config,
         threshold=threshold, normalize=normalize,

@@ -56,8 +56,7 @@ class WordList:
     """
 
     def __init__(self, forms: Iterable[WordForm]):
-        seen: dict[tuple[str, str, str], WordForm] = {}
-        kept: list[WordForm] = []
+        seen: dict[tuple[str, str, str], WordForm] = {}  # first forms, in order
         dropped = 0
         for form in forms:
             key = (form.language, form.meaning, form.segments)
@@ -65,8 +64,7 @@ class WordList:
                 dropped += 1
                 continue
             seen[key] = form
-            kept.append(form)
-        self.forms = tuple(kept)
+        self.forms = tuple(seen.values())
         self.duplicates_collapsed = dropped
 
         by_meaning: dict[str, list[WordForm]] = {}

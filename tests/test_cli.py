@@ -106,6 +106,23 @@ class TestCluster:
             "", "cogclust: validation error: jobs must be at least 1\n"
         )
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-scans", "0"], "max_scans must be at least 1"),
+        (["--shuffle-seed", "-1"], "shuffle_seed must be at least 0"),
+        (["--jobs", "0"], "jobs must be at least 1"),
+    ])
+    def test_integer_settings_below_their_minimum_exit_3(self, sample_file, capsys,
+                                                         flags, message):
+        assert main(["cluster", "--input", str(sample_file), *flags]) == 3
+        assert capsys.readouterr() == ("", f"cogclust: validation error: {message}\n")
+
+    def test_matrix_without_scorer_pmi_is_usage_error_before_the_input_is_read(
+            self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["cluster", "--input", str(tmp_path / "missing.tsv"), "--pmi-matrix", "x"])
+        assert err.value.code == 2
+        assert "--pmi-matrix is only valid with --scorer pmi" in capsys.readouterr().err
+
     def test_jobs_not_an_integer_is_usage_error(self, sample_file, capsys):
         with pytest.raises(SystemExit) as err:
             main(["cluster", "--input", str(sample_file), "--jobs", "abc"])
@@ -249,6 +266,28 @@ class TestEvaluate:
             "parts.tsv", "parts.tsv.report.tsv", "parts.tsv.report.txt",
             "target.txt", "words.tsv",
         ]
+
+    @pytest.mark.parametrize("kind", ["devnull-link", "directory", "directory-link"])
+    def test_out_that_is_not_a_regular_file_is_usage_error(self, tmp_path, sample_file,
+                                                            capsys, kind):
+        # The reports are named after --out, so a path they cannot sit beside
+        # is refused before any input is read: a missing input changes nothing.
+        sink = tmp_path / "sink"
+        if kind == "devnull-link":
+            sink.symlink_to(os.devnull)
+        elif kind == "directory":
+            sink.mkdir()
+        else:
+            (tmp_path / "dir").mkdir()
+            sink.symlink_to(tmp_path / "dir")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for source in (sample_file, tmp_path / "missing.tsv"):
+            with pytest.raises(SystemExit) as err:
+                main(["evaluate", "--input", str(source), "--out", str(sink)])
+            assert err.value.code == 2
+            assert "is not a regular file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not list(tmp_path.rglob("*.report.*"))
 
     def test_separate_gold_file(self, tmp_path):
         unlabelled = SAMPLE.replace("\tc1", "\t").replace("\tc2", "\t")

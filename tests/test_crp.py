@@ -152,12 +152,13 @@ class TestCrpAgainstReference:
             assert list(part.labels) == expected
         # Small integer entries make exact ties and linkages equal to alpha
         # common, so the lowest-label and boundary rules decide most visits.
-        for _ in range(40):
+        # The last 20 run 200 scans, so scans that never settle renumber.
+        for case in range(60):
             n = int(rng.integers(1, 41))
             raw = rng.integers(0, 4, size=(n, n)).astype(float)
             s = np.triu(raw) + np.triu(raw, 1).T
             alpha = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
-            max_scans = int(rng.choice([1, 3, 50]))
+            max_scans = int(rng.choice([1, 3, 50])) if case < 40 else 200
             for linkage in ("average", "single"):
                 config = CrpConfig(alpha=alpha, max_scans=max_scans, linkage=linkage)
                 part = crp_cluster(s, config)
@@ -185,21 +186,42 @@ class TestCrpAgainstReference:
             s.tolist(), alpha=1.0, max_scans=1, linkage="single"
         )
 
+    # The scan never settles on this matrix at alpha 1.5: w0, w3 and w4 trade
+    # places, two moves per scan, and every other scan one of them opens a new
+    # cluster one above the highest label in use.
+    NEVER_SETTLES = np.array([
+        [0, 0, 0, 1, 3],
+        [0, 3, 2, 0, 3],
+        [0, 2, 0, 2, 2],
+        [1, 0, 2, 1, 2],
+        [3, 3, 2, 2, 0],
+    ], dtype=float)
+
     def test_labels_climb_past_the_word_count(self):
-        # The scan never settles: w0, w3 and w4 trade places, two moves per
-        # scan, and every other scan one of them opens a new cluster one above
-        # the highest label in use, so labels reach 29 for n = 5.
-        s = np.array([
-            [0, 0, 0, 1, 3],
-            [0, 3, 2, 0, 3],
-            [0, 2, 0, 2, 2],
-            [1, 0, 2, 1, 2],
-            [3, 3, 2, 2, 0],
-        ], dtype=float)
+        # Within a scan labels climb past n = 5. Left alone they would reach
+        # 29 in 50 scans; the scan renumbers them in order after each scan
+        # that ends with one at n or above, and no result changes.
+        s = self.NEVER_SETTLES
         part, history = crp_cluster_with_history(s, CrpConfig(alpha=1.5, max_scans=50))
         assert list(part.labels) == crp_reference(s.tolist(), alpha=1.5, max_scans=50)
         assert part.labels == (0, 1, 1, 2, 0)
         assert history == [4] + [2] * 49
+
+    def test_labels_stay_below_twice_the_word_count(self, monkeypatch):
+        lengths = []
+        bincount = np.bincount
+
+        def recording_bincount(*args, **kwargs):
+            counts = bincount(*args, **kwargs)
+            lengths.append(len(counts))
+            return counts
+
+        monkeypatch.setattr(np, "bincount", recording_bincount)
+        _, history = crp_cluster_with_history(
+            self.NEVER_SETTLES, CrpConfig(alpha=1.5, max_scans=1000)
+        )
+        assert history == [4] + [2] * 999
+        assert len(lengths) == 5 * 1000 and max(lengths) < 2 * 5
 
 
 class TestCrpProperties:
