@@ -5,45 +5,29 @@ affine-gap alignment under identity or PMI substitution scores (``align``,
 ``pmi``), cluster each meaning's words without a threshold (``crp``), and
 score the result against expert cognate classes (``evaluate``). ``pipeline``
 ties the steps together and ``cli`` exposes them as a command-line tool.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import cogclust`` alone loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .alphabet import ASJP_SOUNDS, GAP, MODIFIER_CHARS
-from .align import GapParams, Scorer, SimilarityMatrix, nw_score, similarity_matrix
-from .crp import (
-    CrpConfig,
-    Partition,
-    crp_cluster,
-    crp_cluster_with_history,
-    flat_cluster_threshold,
-)
-from .errors import (
-    CogclustError,
-    DegenerateInputError,
-    MatrixFormatError,
-    MeaningNotFoundError,
-    ParseError,
-    ValidationError,
-)
-from .evaluate import (
-    BcubedScore,
-    EvalReport,
-    MeaningEval,
-    bcubed,
-    evaluate_dataset,
-    pearson,
-    render_report,
-    render_report_kv,
-)
-from .pipeline import (
-    cluster_meaning,
-    cluster_wordlist,
-    gold_partitions,
-    write_partitions,
-)
-from .pmi import estimate_pmi, load_pmi, save_pmi
-from .wordlist import WordForm, WordList, parse_wordlist
+_MODULES = {
+    "alphabet": ("ASJP_SOUNDS", "GAP", "MODIFIER_CHARS"),
+    "align": ("GapParams", "Scorer", "SimilarityMatrix", "nw_score", "similarity_matrix"),
+    "crp": ("CrpConfig", "Partition", "crp_cluster", "crp_cluster_with_history",
+            "flat_cluster_threshold"),
+    "errors": ("CogclustError", "DegenerateInputError", "MatrixFormatError",
+               "MeaningNotFoundError", "ParseError", "ValidationError"),
+    "evaluate": ("BcubedScore", "EvalReport", "MeaningEval", "bcubed", "evaluate_dataset",
+                 "pearson", "render_report", "render_report_kv"),
+    "pipeline": ("cluster_meaning", "cluster_wordlist", "gold_partitions", "write_partitions"),
+    "pmi": ("estimate_pmi", "load_pmi", "save_pmi"),
+    "wordlist": ("WordForm", "WordList", "parse_wordlist"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 
 __all__ = [
     "ASJP_SOUNDS",
@@ -84,3 +68,15 @@ __all__ = [
     "similarity_matrix",
     "write_partitions",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

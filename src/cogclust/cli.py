@@ -140,6 +140,9 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--out {out} is not a regular file, so evaluate cannot name reports after it")
     scorer = _build_scorer(args, parser)
     wordlist = parse_wordlist(args.input)
+    # Read before clustering, so a bad gold file fails before the work starts.
+    gold_path = args.gold if args.subcommand == "evaluate" else None
+    gold_wordlist = parse_wordlist(gold_path) if gold_path else None
 
     if args.subcommand == "align":
         os.makedirs(args.out, exist_ok=True)
@@ -173,7 +176,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
 
     # evaluate
-    gold = gold_partitions(wordlist, parse_wordlist(args.gold) if args.gold else None)
+    gold = gold_partitions(wordlist, gold_wordlist)
     if not gold:
         if args.out:
             with open_sink(args.out) as fh:

@@ -2,8 +2,9 @@
 
 Meanings are independent, so clustering a word list is one bound job per
 meaning, ``cluster_meaning`` with the run's scorer and settings. The jobs run
-in a loop, or over a process pool when ``jobs`` exceeds one; results are merged
-in meaning order, making output independent of worker scheduling.
+in a loop, or over a process pool when ``jobs`` allows more than one worker and
+the alignment work pays for them: a small run uses one process. Results are
+merged in meaning order, making output independent of worker scheduling.
 """
 
 import os
@@ -32,6 +33,22 @@ def cluster_meaning(
     return crp_cluster(sims, config)
 
 
+# Alignment cells per pool worker. On planted lists below about two of these,
+# a pool of two saved little or no wall time over one process and always cost
+# more CPU; CHANGES.md has the table.
+_CELLS_PER_WORKER = 2_500_000
+
+
+def _alignment_cells(wordlist: WordList) -> int:
+    """Cells ``similarity_matrix`` fills: len(a) * len(b) for each pair a <= b
+    of a meaning's distinct transcriptions, summed over meanings."""
+    cells = 0
+    for meaning in wordlist.meanings:
+        lengths = [len(w) for w in {f.segments for f in wordlist.forms_for_meaning(meaning)}]
+        cells += (sum(lengths) ** 2 + sum(n * n for n in lengths)) // 2
+    return cells
+
+
 _JOB: tuple | None = None
 
 
@@ -56,9 +73,11 @@ def cluster_wordlist(
 ) -> dict[str, Partition]:
     """Cluster every meaning; returns partitions keyed in meaning order.
 
-    ``jobs`` worker processes are used, capped at the usable CPUs and the
-    number of meanings; ``None`` means all usable CPUs. ``jobs`` must be an
-    integer of at least 1 otherwise.
+    ``jobs`` is an upper bound on the worker processes; ``None`` means all
+    usable CPUs, and ``jobs`` must be an integer of at least 1 otherwise. The
+    pool is capped at the usable CPUs, the meanings and one worker per
+    ``_CELLS_PER_WORKER`` alignment cells, so a small run uses one process.
+    Partitions do not depend on the worker count.
     """
     jobs = None if jobs is None else checked_int("jobs", jobs, 1)
     work = partial(
@@ -72,6 +91,8 @@ def cluster_wordlist(
     else:  # not available on macOS and Windows
         usable = os.cpu_count() or 1
     jobs = min(usable if jobs is None else jobs, usable, len(meanings))
+    if jobs > 1:
+        jobs = min(jobs, _alignment_cells(wordlist) // _CELLS_PER_WORKER)
     if jobs <= 1:
         return {m: work(wordlist.forms_for_meaning(m)) for m in meanings}
     # Imported here: the pool pulls in multiprocessing, which a serial run

@@ -302,6 +302,22 @@ class TestEvaluate:
         assert code == 0
         assert (tmp_path / "parts.tsv.report.txt").exists()
 
+    @pytest.mark.parametrize("gold_text, code, message", [
+        (None, 4, "i/o error"),
+        ("no header\n", 2, "parse error: line 1: unknown column 'no header'"),
+    ], ids=["missing", "malformed"])
+    def test_bad_gold_file_fails_before_clustering(self, tmp_path, sample_file, capsys,
+                                                   monkeypatch, gold_text, code, message):
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("the word list was clustered")
+
+        monkeypatch.setattr("cogclust.cli.cluster_wordlist", no_clustering)
+        gold = tmp_path / "gold.tsv"
+        if gold_text is not None:
+            gold.write_text(gold_text, encoding="utf-8")
+        assert main(["evaluate", "--input", str(sample_file), "--gold", str(gold)]) == code
+        assert message in capsys.readouterr().err
+
     def test_no_gold_warns_and_exits_zero(self, tmp_path, capsys):
         unlabelled = SAMPLE.replace("\tc1", "\t").replace("\tc2", "\t")
         inp = tmp_path / "in.tsv"

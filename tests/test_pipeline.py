@@ -6,6 +6,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,16 @@ SAMPLE = (
     "Swedish\tAND\tok\td3\n"
 )
 
+DEMO_LIST = Path(__file__).resolve().parents[1] / "demos" / "data" / "germanic_romance.tsv"
+
+# Six meanings, each with distinct transcriptions of lengths 1, 2 and 3 and a
+# repeat: 25 alignment cells per meaning.
+WORK_LIST = WordList(
+    WordForm(lang, f"M{m}", word)
+    for m in range(6)
+    for lang, word in (("A", "a"), ("B", "ol"), ("C", "al3"), ("D", "ol"))
+)
+
 UNLABELLED = SAMPLE.replace("\tc1", "\t").replace("\tc2", "\t").replace("\td1", "\t").replace(
     "\td2", "\t"
 ).replace("\td3", "\t")
@@ -48,6 +59,30 @@ UNLABELLED = SAMPLE.replace("\tc1", "\t").replace("\tc2", "\t").replace("\td1", 
 
 def sample_wordlist():
     return parse_wordlist(io.StringIO(SAMPLE))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the pools ``cluster_wordlist`` asks for; the stand-in pool maps
+    in process, so no worker starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestClusterMeaning:
@@ -77,7 +112,8 @@ class TestClusterWordlist:
         assert parts["ALL"].n == 5
         assert parts["AND"].n == 5
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_CELLS_PER_WORKER", 1)
         wl = sample_wordlist()
         scorer = Scorer.vanilla()
         serial = cluster_wordlist(wl, scorer, jobs=1)
@@ -89,25 +125,8 @@ class TestClusterWordlist:
         tight = cluster_wordlist(wl, Scorer.vanilla(), CrpConfig(alpha=100.0))
         assert all(p.k == p.n for p in tight.values())
 
-    def test_jobs_bounded_by_usable_cpus_and_meanings(self, monkeypatch):
-        # A pool that records its size and maps in process, so no worker starts.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    def test_jobs_bounded_by_usable_cpus_and_meanings(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(pipeline, "_CELLS_PER_WORKER", 1)
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         wl = WordList(
@@ -117,11 +136,54 @@ class TestClusterWordlist:
         )
         scorer = Scorer.vanilla()
         serial = cluster_wordlist(wl, scorer, jobs=1)
-        assert sizes == []
+        assert pool_sizes == []
         for jobs in (10_000, None, 2):
             assert cluster_wordlist(wl, scorer, jobs=jobs) == serial
         assert cluster_wordlist(sample_wordlist(), scorer, jobs=10_000)
-        assert sizes == [3, 3, 2, 2]
+        assert pool_sizes == [3, 3, 2, 2]
+
+    def test_small_run_starts_no_pool(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        wl = parse_wordlist(DEMO_LIST)
+        scorer = Scorer.vanilla()
+        assert cluster_wordlist(wl, scorer, jobs=2) == cluster_wordlist(wl, scorer, jobs=1)
+        assert pool_sizes == []
+
+    def test_alignment_cells_count_distinct_transcriptions(self):
+        # Lengths 1, 2, 3 and a repeated "ol": 1 + 2 + 3 + 4 + 6 + 9 cells.
+        assert pipeline._alignment_cells(WORK_LIST) == 25 * 6
+
+    @pytest.mark.parametrize("cells_per_worker, cpus, jobs, workers", [
+        (150, 4, None, None),  # k = 1
+        (76, 4, None, None),   # just short of k = 2
+        (75, 4, None, 2),
+        (50, 4, None, 3),
+        (50, 4, 2, 2),         # jobs stays an upper bound
+        (30, 4, 10_000, 4),    # k = 5, four usable CPUs
+        (25, 8, None, 6),      # k = 6, six meanings
+        (1, 8, None, 6),       # k = 150
+    ])
+    def test_workers_follow_the_alignment_work(self, monkeypatch, pool_sizes,
+                                               cells_per_worker, cpus, jobs, workers):
+        # WORK_LIST holds 150 cells, so k = 150 // cells_per_worker.
+        monkeypatch.setattr(pipeline, "_CELLS_PER_WORKER", cells_per_worker)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        scorer = Scorer.vanilla()
+        assert cluster_wordlist(WORK_LIST, scorer, jobs=jobs) == cluster_wordlist(
+            WORK_LIST, scorer, jobs=1)
+        assert pool_sizes == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("jobs, cpus", [(1, 4), (None, 1), (3, 1)])
+    def test_one_possible_worker_skips_the_estimate(self, monkeypatch, jobs, cpus):
+        def no_estimate(wordlist):
+            raise AssertionError("the alignment work was estimated")
+
+        monkeypatch.setattr(pipeline, "_alignment_cells", no_estimate)
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert cluster_wordlist(WORK_LIST, Scorer.vanilla(), jobs=jobs)
 
     @pytest.mark.parametrize("cpus", [1, None])
     def test_without_affinity_one_or_unknown_cpus_run_serially(self, monkeypatch, cpus):
@@ -156,6 +218,7 @@ class TestClusterWordlist:
         context = multiprocessing.get_context(method)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             partial(ProcessPoolExecutor, mp_context=context))
+        monkeypatch.setattr(pipeline, "_CELLS_PER_WORKER", 1)
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         wl = sample_wordlist()
@@ -169,6 +232,7 @@ class TestClusterWordlist:
         context = multiprocessing.get_context(method)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             partial(ProcessPoolExecutor, mp_context=context))
+        monkeypatch.setattr(pipeline, "_CELLS_PER_WORKER", 1)
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         # Word "a" scores -1 against itself, so it cannot be normalized.
