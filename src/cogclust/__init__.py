@@ -29,45 +29,7 @@ _MODULES = {
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 
-__all__ = [
-    "ASJP_SOUNDS",
-    "GAP",
-    "MODIFIER_CHARS",
-    "BcubedScore",
-    "CogclustError",
-    "CrpConfig",
-    "DegenerateInputError",
-    "EvalReport",
-    "GapParams",
-    "MatrixFormatError",
-    "MeaningEval",
-    "MeaningNotFoundError",
-    "ParseError",
-    "Partition",
-    "Scorer",
-    "SimilarityMatrix",
-    "ValidationError",
-    "WordForm",
-    "WordList",
-    "bcubed",
-    "cluster_meaning",
-    "cluster_wordlist",
-    "crp_cluster",
-    "crp_cluster_with_history",
-    "estimate_pmi",
-    "evaluate_dataset",
-    "flat_cluster_threshold",
-    "gold_partitions",
-    "load_pmi",
-    "nw_score",
-    "parse_wordlist",
-    "pearson",
-    "render_report",
-    "render_report_kv",
-    "save_pmi",
-    "similarity_matrix",
-    "write_partitions",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

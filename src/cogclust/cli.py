@@ -23,7 +23,7 @@ from .errors import ParseError, ValidationError
 from .evaluate import evaluate_dataset, render_report, render_report_kv
 from .pipeline import cluster_wordlist, gold_partitions, write_partitions
 from .pmi import DEFAULT_SMOOTHING, estimate_pmi, load_pmi, save_pmi
-from .textio import open_sink, read_rows, read_text
+from .textio import in_file, open_sink, read_rows, read_text
 from .wordlist import parse_wordlist
 
 
@@ -110,7 +110,8 @@ def _build_scorer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.scorer == "pmi":
         if not args.pmi_matrix:
             parser.error("--scorer pmi requires --pmi-matrix")
-        return Scorer.from_pmi(load_pmi(args.pmi_matrix), gaps)
+        with in_file(args.pmi_matrix):
+            return Scorer.from_pmi(load_pmi(args.pmi_matrix), gaps)
     if args.pmi_matrix:
         parser.error("--pmi-matrix is only valid with --scorer pmi")
     return Scorer.vanilla(gaps=gaps)
@@ -119,19 +120,22 @@ def _build_scorer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Execute one parsed subcommand; raises package errors for ``main`` to map."""
     if args.subcommand == "pmi-estimate":
-        rows = read_rows(read_text(args.input).split("\n"), 2)
-        lineno = None  # line of the pair being counted, None outside the rows
+        lineno = None  # line of the pair being counted; 0 once every pair is read
 
-        def pairs():
+        def pairs():  # read when the first pair is asked for, after the smoothing is checked
             nonlocal lineno
-            for lineno, row in rows:
-                yield row
-            lineno = None
+            with in_file(args.input):
+                for lineno, row in read_rows(read_text(args.input).split("\n"), 2):
+                    yield row
+            lineno = 0
 
         try:
             table = estimate_pmi(pairs(), args.smoothing)
         except ValidationError as exc:
-            raise (exc if lineno is None else ValidationError(str(exc), line=lineno)) from None
+            if lineno is None:  # raised before any pair was read: the smoothing's
+                raise
+            with in_file(args.input):
+                raise (ValidationError(str(exc), line=lineno) if lineno else exc) from None
         save_pmi(table, args.out or sys.stdout)
         return 0
 
@@ -139,10 +143,12 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if out and os.path.exists(out) and not os.path.isfile(out):  # reports go beside it
         parser.error(f"--out {out} is not a regular file, so evaluate cannot name reports after it")
     scorer = _build_scorer(args, parser)
-    wordlist = parse_wordlist(args.input)
+    with in_file(args.input):
+        wordlist = parse_wordlist(args.input)
     # Read before clustering, so a bad gold file fails before the work starts.
     gold_path = args.gold if args.subcommand == "evaluate" else None
-    gold_wordlist = parse_wordlist(gold_path) if gold_path else None
+    with in_file(gold_path):
+        gold_wordlist = parse_wordlist(gold_path) if gold_path else None
 
     if args.subcommand == "align":
         os.makedirs(args.out, exist_ok=True)
@@ -187,7 +193,8 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     report = evaluate_dataset(partitions, gold)
     text = render_report(report, percent=args.percent)
     if not args.out:
-        sys.stdout.write(text)
+        with open_sink(sys.stdout) as fh:
+            fh.write(text)
         return 0
     kv = render_report_kv(report, percent=args.percent)
     # Each sink replaces its path only when the block ends without error, so
@@ -207,17 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = run(args, parser)
-        # Flush here, so that a reader that closed early is handled below
-        # rather than at interpreter exit.
-        sys.stdout.flush()
-        return status
+        return run(args, parser)
     except BrokenPipeError:
-        # The reader stopped early; that is not an error of this program.
-        # Point stdout at devnull so the interpreter's final flush succeeds.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader stopped early: no error, and sys.stdout holds no data to flush.
         return 0
     except ParseError as exc:
         print(f"cogclust: parse error: {exc}", file=sys.stderr)
@@ -229,6 +228,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cogclust: i/o error: {exc}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,15 +1,17 @@
 """UTF-8 text sources and sinks shared by the file readers and writers.
 
 This module owns the rules every text input shares: how its bytes are decoded
-(``read_text``) and how a line becomes a row of fields (``read_rows``).
+(``read_text``), how a line becomes a row of fields (``read_rows``) and how an
+error names its file (``in_file``).
 """
 
 import os
 import stat
+import sys
 from contextlib import contextmanager, nullcontext, suppress
 from typing import IO, Iterator, Sequence
 
-from .errors import ParseError
+from .errors import CogclustError, ParseError
 
 
 def read_text(source: str | os.PathLike | IO) -> str:
@@ -50,6 +52,16 @@ def read_rows(
             yield lineno, fields
 
 
+@contextmanager
+def in_file(path):
+    """A cogclust error raised in the block names ``path`` first."""
+    try:
+        yield
+    except CogclustError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def open_sink(sink: str | os.PathLike | IO):
     """Context manager yielding a text sink.
 
@@ -60,8 +72,13 @@ def open_sink(sink: str | os.PathLike | IO):
     or all of the new ones. A symbolic link to a regular file or to nothing
     stays a link: the file it resolves to is the one replaced. A path that
     leads to anything else (a device, a FIFO, ``/dev/stdout``) is written in
-    place.
+    place. ``sys.stdout`` gets UTF-8 whatever the locale: after a flush, its
+    file descriptor is written directly, if it has one.
     """
+    if sink is sys.stdout:
+        sink.flush()  # what it holds goes first
+        with suppress(OSError):  # an in-memory stream has no descriptor
+            return open(sink.fileno(), "w", encoding="utf-8", newline="\n", closefd=False)
     if hasattr(sink, "write"):
         return nullcontext(sink)
     path = os.fspath(sink)

@@ -102,6 +102,9 @@ class TestScorer:
         assert np.array_equal(regapped.scores, table.scores)
         assert regapped != table
         assert Scorer.from_pmi(regapped) == table
+        assert repr(regapped) == "Scorer(2 symbols, GapParams(gap_open=-2.5, gap_extend=-1.0))"
+        assert table.__eq__(table.alphabet) is NotImplemented
+        assert table != table.alphabet
 
 
 class TestNwScoreFixtures:

@@ -69,7 +69,9 @@ class TestCluster:
         bad.write_text(SAMPLE + "Danish\tALL\ta9l\tc1\n", encoding="utf-8")
         assert main(["cluster", "--input", str(bad)]) == 3
         err = capsys.readouterr().err
-        assert "'9'" in err
+        assert err == (
+            f"cogclust: validation error: {bad}: line 7: symbol '9' is not in the alphabet\n"
+        )
 
     def test_malformed_row_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -85,6 +87,16 @@ class TestCluster:
         assert main(["cluster", "--input", str(sample_file), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert str(out) in err and ".tmp" not in err
+
+    def test_pmi_matrix_missing_a_pair_names_its_file(self, tmp_path, sample_file, capsys):
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("alphabet\ta b\na\ta\t1.0\nb\tb\t1.0\n", encoding="utf-8")
+        code = main(["cluster", "--input", str(sample_file), "--scorer", "pmi",
+                     "--pmi-matrix", str(matrix)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"cogclust: parse error: {matrix}: missing score for pair (a, b)\n"
+        )
 
     def test_scorer_pmi_without_matrix_is_usage_error(self, sample_file):
         with pytest.raises(SystemExit) as err:
@@ -161,7 +173,7 @@ class TestCluster:
         args = [a.format(bad=bad, sample=sample_file) for a in args]
         assert main([*args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("cogclust: parse error: line 2: ")
+        assert err.startswith(f"cogclust: parse error: {bad}: line 2: ")
         assert "Traceback" not in err
         assert out.read_bytes() == b"old\n"
 
@@ -304,7 +316,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("gold_text, code, message", [
         (None, 4, "i/o error"),
-        ("no header\n", 2, "parse error: line 1: unknown column 'no header'"),
+        ("no header\n", 2, "parse error: {gold}: line 1: unknown column 'no header'"),
     ], ids=["missing", "malformed"])
     def test_bad_gold_file_fails_before_clustering(self, tmp_path, sample_file, capsys,
                                                    monkeypatch, gold_text, code, message):
@@ -316,7 +328,7 @@ class TestEvaluate:
         if gold_text is not None:
             gold.write_text(gold_text, encoding="utf-8")
         assert main(["evaluate", "--input", str(sample_file), "--gold", str(gold)]) == code
-        assert message in capsys.readouterr().err
+        assert message.format(gold=gold) in capsys.readouterr().err
 
     def test_no_gold_warns_and_exits_zero(self, tmp_path, capsys):
         unlabelled = SAMPLE.replace("\tc1", "\t").replace("\tc2", "\t")
@@ -392,7 +404,7 @@ class TestPmiEstimate:
         pairs.write_text("ol\tal\n\nol\tal\textra\n", encoding="utf-8")
         assert main(["pmi-estimate", "--input", str(pairs)]) == 2
         assert capsys.readouterr().err == (
-            "cogclust: parse error: line 3: expected 2 columns, got 3\n"
+            f"cogclust: parse error: {pairs}: line 3: expected 2 columns, got 3\n"
         )
 
     def test_no_gap_free_column_exits_3(self, tmp_path, capsys):
@@ -400,7 +412,8 @@ class TestPmiEstimate:
         pairs.write_text("a-\t-a\n", encoding="utf-8")
         assert main(["pmi-estimate", "--input", str(pairs)]) == 3
         assert capsys.readouterr() == ("", (
-            "cogclust: validation error: no non-gap co-occurrences in the aligned pairs\n"
+            f"cogclust: validation error: {pairs}: "
+            "no non-gap co-occurrences in the aligned pairs\n"
         ))
 
     def test_unequal_pair_lengths_exit_3(self, tmp_path, capsys):
@@ -408,7 +421,7 @@ class TestPmiEstimate:
         pairs.write_text("ala\tala\n\nolo\tal\n", encoding="utf-8")
         assert main(["pmi-estimate", "--input", str(pairs)]) == 3
         assert capsys.readouterr().err == (
-            "cogclust: validation error: line 3: "
+            f"cogclust: validation error: {pairs}: line 3: "
             "aligned pair ('olo', 'al') has unequal lengths 3 and 2\n"
         )
 
@@ -417,7 +430,7 @@ class TestPmiEstimate:
         pairs.write_text("ala\tala\n\no9\tal\n", encoding="utf-8")
         assert main(["pmi-estimate", "--input", str(pairs)]) == 3
         assert capsys.readouterr().err == (
-            "cogclust: validation error: line 3: segment '9' is not in the alphabet\n"
+            f"cogclust: validation error: {pairs}: line 3: segment '9' is not in the alphabet\n"
         )
 
     @pytest.mark.parametrize("smoothing, bad", [
@@ -431,7 +444,7 @@ class TestPmiEstimate:
         code = main(["pmi-estimate", "--input", str(pairs), "--smoothing", smoothing])
         assert code == 3
         assert capsys.readouterr().err == (
-            f"cogclust: validation error: score table contains {bad}\n"
+            f"cogclust: validation error: {pairs}: score table contains {bad}\n"
         )
 
     @pytest.mark.parametrize("smoothing", ["nan", "inf"])
@@ -440,6 +453,14 @@ class TestPmiEstimate:
         pairs.write_text("ol\tal\n", encoding="utf-8")
         code = main(["pmi-estimate", "--input", str(pairs), "--smoothing", smoothing])
         assert code == 3
+        # A setting's error names no file.
+        assert capsys.readouterr().err == (
+            "cogclust: validation error: smoothing must be finite and >= 0\n"
+        )
+
+    def test_bad_smoothing_is_reported_before_the_pairs_are_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert main(["pmi-estimate", "--input", str(missing), "--smoothing", "nan"]) == 3
         assert "smoothing" in capsys.readouterr().err
 
 
@@ -473,6 +494,38 @@ class TestMeta:
         assert proc.returncode == 0
         if not stderr_on_pipe:
             assert proc.stderr == b""
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize("subcommand, suffix", [
+        ("cluster", ""), ("evaluate", ".report.txt"), ("pmi-estimate", ""),
+    ])
+    def test_stdout_holds_the_bytes_of_the_out_file_whatever_the_locale(
+            self, tmp_path, encoding, subcommand, suffix):
+        words = tmp_path / "words.tsv"
+        words.write_text(SAMPLE.replace("ALL", "日").replace("French", "Français"),
+                         encoding="utf-8")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("ol\tal\no-l\toll\n", encoding="utf-8")
+        source = pairs if subcommand == "pmi-estimate" else words
+        out = tmp_path / "out.tsv"
+        assert main([subcommand, "--input", str(source), "--out", str(out)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "cogclust", subcommand, "--input", str(source)],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": encoding},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == Path(f"{out}{suffix}").read_bytes()
+
+    def test_stdout_data_follows_what_stdout_already_holds(self, sample_file):
+        code = ("from cogclust.cli import main; print('before'); "
+                f"main(['cluster', '--input', {str(sample_file)!r}]); print('after')")
+        buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=buffered)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("before\nmeaning\t")
+        assert proc.stdout.endswith("\nafter\n")
 
     def test_console_entry_point_runs(self, sample_file):
         proc = subprocess.run(

@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from cogclust import ParseError
-from cogclust.textio import open_sink, read_text
+from cogclust import MeaningNotFoundError, ParseError
+from cogclust.textio import in_file, open_sink, read_text
 
 
 @pytest.mark.parametrize("data, line", [
@@ -94,3 +94,18 @@ def test_open_file_is_used_as_given_and_left_open():
         fh.write("x\n")
     assert fh is buf and not buf.closed
     assert buf.getvalue() == "x\n"
+
+
+def test_in_file_puts_the_path_before_a_cogclust_error_and_keeps_it_as_it_was():
+    with pytest.raises(ParseError) as err:
+        with in_file("in.tsv"):
+            raise ParseError("bad row", line=3)
+    assert (str(err.value), err.value.line) == ("in.tsv: line 3: bad row", 3)
+    with pytest.raises(MeaningNotFoundError) as err:  # also a KeyError
+        with in_file("gold.tsv"):
+            raise MeaningNotFoundError("unknown meaning 'X'")
+    assert str(err.value) == "gold.tsv: unknown meaning 'X'"
+    with pytest.raises(OSError) as err:  # an i/o error names its own file
+        with in_file("in.tsv"):
+            raise FileNotFoundError(2, "No such file or directory", "in.tsv")
+    assert str(err.value) == "[Errno 2] No such file or directory: 'in.tsv'"

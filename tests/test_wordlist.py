@@ -47,6 +47,8 @@ class TestParsing:
         assert wl.meanings == ("ALL",)
         assert wl.languages == ("English", "German")
         assert wl.forms[0] == WordForm("English", "ALL", "ol", "c1")
+        assert list(wl) == list(wl.forms)
+        assert repr(wl) == "WordList(2 forms, 1 meanings, 2 languages)"
 
     def test_header_only(self):
         wl = parse(HEADER)
@@ -248,3 +250,6 @@ class TestWordListConstruction:
         wl = WordList([WordForm("A", "M", "ol"), WordForm("A", "M", "ol")])
         assert len(wl) == 1
         assert wl.duplicates_collapsed == 1
+        assert wl == WordList([WordForm("A", "M", "ol")])
+        assert wl.__eq__(wl.forms) is NotImplemented
+        assert wl != wl.forms
