@@ -19,8 +19,8 @@ _MODULES = {
     "align": ("GapParams", "Scorer", "SimilarityMatrix", "nw_score", "similarity_matrix"),
     "crp": ("CrpConfig", "Partition", "crp_cluster", "crp_cluster_with_history",
             "flat_cluster_threshold"),
-    "errors": ("CogclustError", "DegenerateInputError", "MatrixFormatError",
-               "MeaningNotFoundError", "ParseError", "ValidationError"),
+    "errors": ("CogclustError", "DegenerateInputError", "MeaningNotFoundError", "ParseError",
+               "ValidationError"),
     "evaluate": ("BcubedScore", "EvalReport", "MeaningEval", "bcubed", "evaluate_dataset",
                  "pearson", "render_report", "render_report_kv"),
     "pipeline": ("cluster_meaning", "cluster_wordlist", "gold_partitions", "write_partitions"),

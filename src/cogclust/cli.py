@@ -7,6 +7,8 @@ Subcommands::
     cogclust align         word list TSV -> per-meaning similarity matrix TSVs
     cogclust pmi-estimate  aligned segment pairs -> PMI matrix file
 
+A run checks its usage first, then its settings, then reads its input
+files, each through its library reader, which names the file in its errors.
 Exit codes: 0 success, 2 parse/usage errors, 3 validation errors, 4 I/O
 errors. Diagnostics go to stderr; data goes to files or stdout.
 """
@@ -23,7 +25,7 @@ from .errors import ParseError, ValidationError
 from .evaluate import evaluate_dataset, render_report, render_report_kv
 from .pipeline import cluster_wordlist, gold_partitions, write_partitions
 from .pmi import DEFAULT_SMOOTHING, estimate_pmi, load_pmi, save_pmi
-from .textio import in_file, open_sink, read_rows, read_text
+from .textio import open_sink
 from .wordlist import parse_wordlist
 
 
@@ -105,50 +107,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_scorer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Scorer:
-    gaps = GapParams(args.gap_open, args.gap_extend)
-    if args.scorer == "pmi":
-        if not args.pmi_matrix:
-            parser.error("--scorer pmi requires --pmi-matrix")
-        with in_file(args.pmi_matrix):
-            return Scorer.from_pmi(load_pmi(args.pmi_matrix), gaps)
-    if args.pmi_matrix:
-        parser.error("--pmi-matrix is only valid with --scorer pmi")
-    return Scorer.vanilla(gaps=gaps)
-
-
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Execute one parsed subcommand; raises package errors for ``main`` to map."""
-    if args.subcommand == "pmi-estimate":
-        lineno = None  # line of the pair being counted; 0 once every pair is read
-
-        def pairs():  # read when the first pair is asked for, after the smoothing is checked
-            nonlocal lineno
-            with in_file(args.input):
-                for lineno, row in read_rows(read_text(args.input).split("\n"), 2):
-                    yield row
-            lineno = 0
-
-        try:
-            table = estimate_pmi(pairs(), args.smoothing)
-        except ValidationError as exc:
-            if lineno is None:  # raised before any pair was read: the smoothing's
-                raise
-            with in_file(args.input):
-                raise (ValidationError(str(exc), line=lineno) if lineno else exc) from None
-        save_pmi(table, args.out or sys.stdout)
+    if args.subcommand == "pmi-estimate":  # the estimate checks --smoothing before it reads
+        save_pmi(estimate_pmi(args.input, args.smoothing), args.out or sys.stdout)
         return 0
 
     out = args.out if args.subcommand == "evaluate" else None
     if out and os.path.exists(out) and not os.path.isfile(out):  # reports go beside it
         parser.error(f"--out {out} is not a regular file, so evaluate cannot name reports after it")
-    scorer = _build_scorer(args, parser)
-    with in_file(args.input):
-        wordlist = parse_wordlist(args.input)
+    if args.scorer == "pmi" and not args.pmi_matrix:
+        parser.error("--scorer pmi requires --pmi-matrix")
+    if args.scorer != "pmi" and args.pmi_matrix:
+        parser.error("--pmi-matrix is only valid with --scorer pmi")
+    gaps = GapParams(args.gap_open, args.gap_extend)
+    if args.subcommand != "align":
+        crp_config = CrpConfig(alpha=args.alpha, max_scans=args.max_scans,
+                               linkage=args.linkage, shuffle_seed=args.shuffle_seed)
+    if args.pmi_matrix:
+        scorer = Scorer.from_pmi(load_pmi(args.pmi_matrix), gaps)
+    else:
+        scorer = Scorer.vanilla(gaps=gaps)
+    wordlist = parse_wordlist(args.input)
     # Read before clustering, so a bad gold file fails before the work starts.
     gold_path = args.gold if args.subcommand == "evaluate" else None
-    with in_file(gold_path):
-        gold_wordlist = parse_wordlist(gold_path) if gold_path else None
+    gold_wordlist = parse_wordlist(gold_path) if gold_path else None
 
     if args.subcommand == "align":
         os.makedirs(args.out, exist_ok=True)
@@ -161,20 +144,9 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 table.to_tsv(fh)
         return 0
 
-    crp_config = CrpConfig(
-        alpha=args.alpha,
-        max_scans=args.max_scans,
-        linkage=args.linkage,
-        shuffle_seed=args.shuffle_seed,
-    )
-    partitions = cluster_wordlist(
-        wordlist,
-        scorer,
-        crp_config,
-        threshold=args.threshold,
-        normalize=args.normalize,
-        jobs=args.jobs,
-    )
+    # --threshold and --jobs are checked by the clustering itself, when it starts.
+    partitions = cluster_wordlist(wordlist, scorer, crp_config, threshold=args.threshold,
+                                  normalize=args.normalize, jobs=args.jobs)
 
     if args.subcommand == "cluster":
         with open_sink(args.out or sys.stdout) as fh:
@@ -212,11 +184,16 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:  # --help and --version print to sys.stdout, then exit 0
+            sys.stdout.flush()
         return run(args, parser)
     except BrokenPipeError:
-        # The reader stopped early: no error, and sys.stdout holds no data to flush.
+        # The reader stopped early: no error. What --help or --version left in
+        # sys.stdout goes to the null device, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except ParseError as exc:
         print(f"cogclust: parse error: {exc}", file=sys.stderr)

@@ -26,10 +26,6 @@ class ParseError(CogclustError):
     """A source file could not be parsed."""
 
 
-class MatrixFormatError(ParseError):
-    """A segment-score matrix file violates the expected format."""
-
-
 class ValidationError(CogclustError):
     """Input data or configuration violates a documented constraint."""
 

@@ -26,33 +26,37 @@ with one line per unordered symbol pair and scores at full precision.
 
 import math
 import os
+from itertools import repeat
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .align import Scorer
 from .alphabet import ASJP_SOUNDS, GAP, check_alphabet
-from .errors import DegenerateInputError, MatrixFormatError, ValidationError
-from .textio import open_sink, read_rows, read_text
+from .errors import DegenerateInputError, ParseError, ValidationError
+from .textio import in_file, open_sink, read_rows, read_text
 
 DEFAULT_SMOOTHING = 0.1
 
 
 def estimate_pmi(
-    aligned_pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
+    aligned_pairs: str | os.PathLike | IO | Iterable[tuple[Sequence[str], Sequence[str]]],
     smoothing: float = DEFAULT_SMOOTHING,
     *,
     alphabet: Sequence[str] = ASJP_SOUNDS,
 ) -> Scorer:
     """Estimate a PMI table, with default gaps, from aligned word pairs in one pass.
 
-    Each item is a pair of equal-length segment sequences over the alphabet
-    plus ``"-"`` for gaps. ``smoothing`` is an additive pseudo-count applied
-    to every unordered joint cell; marginals receive the pseudo-counts those
-    joint cells induce (a symbol gains ``smoothing * (len(alphabet) + 1)``
-    pseudo-occurrences). With ``smoothing=0`` unobserved pairs score ``-inf``,
-    as does an unobserved pair whose smoothed share underflows to 0. A bad
-    alphabet is reported before any pair is read.
+    Each pair is two equal-length segment sequences over the alphabet plus
+    ``"-"`` for gaps. ``aligned_pairs`` holds the pairs, or is a path or open
+    file of them, one per line in two tab-separated columns; an error there
+    names the pair's line, blank lines counted, after the path if given one.
+    ``smoothing`` is an additive pseudo-count applied to every unordered joint
+    cell; marginals receive the pseudo-counts those joint cells induce (a
+    symbol gains ``smoothing * (len(alphabet) + 1)`` pseudo-occurrences). With
+    ``smoothing=0`` unobserved pairs score ``-inf``, as does an unobserved pair
+    whose smoothed share underflows to 0. A bad ``smoothing`` or alphabet is
+    reported before the file is opened or any pair is read.
     """
     if not 0 <= smoothing < math.inf:  # NaN fails too
         raise ValidationError("smoothing must be finite and >= 0")
@@ -61,78 +65,85 @@ def estimate_pmi(
     m = n + 1  # codes per column side: the symbols, then the gap
     code = {s: i for i, s in enumerate(symbols)} | {GAP: n}
 
-    def columns():
-        for left, right in aligned_pairs:
+    def columns(numbered):
+        for lineno, (left, right) in numbered:
             if len(left) != len(right):
                 raise ValidationError(
                     f"aligned pair ({left!r}, {right!r}) has unequal lengths "
-                    f"{len(left)} and {len(right)}"
+                    f"{len(left)} and {len(right)}", line=lineno
                 )
             try:
                 yield from [code[x] * m + code[y] for x, y in zip(left, right)]
             except KeyError as exc:
-                raise ValidationError(f"segment {exc.args[0]!r} is not in the alphabet") from None
+                raise ValidationError(f"segment {exc.args[0]!r} is not in the alphabet",
+                                      line=lineno) from None
 
-    counts = np.bincount(np.fromiter(columns(), dtype=np.intp), minlength=m * m).reshape(m, m)
-    seen = counts[:n, :n]
-    total_joint = int(seen.sum())
-    if total_joint == 0:
-        raise DegenerateInputError("no non-gap co-occurrences in the aligned pairs")
-    pooled = seen + seen.T - np.diag(np.diag(seen))
-    marginal = counts[:n].sum(axis=1) + counts[:, :n].sum(axis=0)
+    with in_file(aligned_pairs):
+        if isinstance(aligned_pairs, (str, os.PathLike)) or hasattr(aligned_pairs, "read"):
+            numbered = read_rows(read_text(aligned_pairs).split("\n"), 2)
+        else:  # pairs given as such have no line to name
+            numbered = zip(repeat(None), aligned_pairs)
+        counts = np.bincount(np.fromiter(columns(numbered), dtype=np.intp), minlength=m * m)
+        counts = counts.reshape(m, m)
+        seen = counts[:n, :n]
+        total_joint = int(seen.sum())
+        if total_joint == 0:
+            raise DegenerateInputError("no non-gap co-occurrences in the aligned pairs")
+        pooled = seen + seen.T - np.diag(np.diag(seen))
+        marginal = counts[:n].sum(axis=1) + counts[:, :n].sum(axis=0)
 
-    joint_den = total_joint + smoothing * (n * m // 2)
-    marg_pseudo = smoothing * m
-    marg_den = int(marginal.sum()) + n * marg_pseudo
-    with np.errstate(all="ignore"):
-        q = (marginal + marg_pseudo) / marg_den
-        ratio = (pooled + smoothing) / joint_den / np.outer(q, q)
-    ratio[pooled + smoothing == 0] = 0.0
-    # math.log, not np.log: numpy does not promise np.log's bits on every build.
-    scores = [[math.log(r) if r else -math.inf for r in row] for row in ratio.tolist()]
-    return Scorer(symbols, scores)
+        joint_den = total_joint + smoothing * (n * m // 2)
+        marg_pseudo = smoothing * m
+        marg_den = int(marginal.sum()) + n * marg_pseudo
+        with np.errstate(all="ignore"):
+            q = (marginal + marg_pseudo) / marg_den
+            ratio = (pooled + smoothing) / joint_den / np.outer(q, q)
+        ratio[pooled + smoothing == 0] = 0.0
+        # math.log, not np.log: numpy does not promise np.log's bits on every build.
+        scores = [[math.log(r) if r else -math.inf for r in row] for row in ratio.tolist()]
+        return Scorer(symbols, scores)
 
 
 def load_pmi(source: str | os.PathLike | IO) -> Scorer:
     """Load a PMI matrix file as a table with default gaps.
 
-    The table must be dense and consistent.
+    The table must be dense and consistent. An error in the file starts with
+    its path, if ``source`` is one.
     """
-    lines = read_text(source).split("\n")
-    head = lines[0].split("\t") if lines and lines[0] else []
-    if len(head) != 2 or head[0] != "alphabet":
-        raise MatrixFormatError("first line must be 'alphabet<TAB><symbols>'", line=1)
-    try:
-        symbols = check_alphabet(head[1].split(" "))
-    except ValidationError as exc:
-        raise MatrixFormatError(str(exc), line=1) from None
-    index = {s: i for i, s in enumerate(symbols)}
-    n = len(symbols)
-    scores = np.zeros((n, n), dtype=float)
-    filled = np.zeros((n, n), dtype=bool)
-    for lineno, (a, b, text_value) in read_rows(
-        lines[1:], 3, start=2, error=MatrixFormatError
-    ):
-        for symbol in (a, b):
-            if symbol not in index:
-                raise MatrixFormatError(f"symbol {symbol!r} is not in the alphabet", line=lineno)
+    with in_file(source):
+        lines = read_text(source).split("\n")
+        head = lines[0].split("\t") if lines and lines[0] else []
+        if len(head) != 2 or head[0] != "alphabet":
+            raise ParseError("first line must be 'alphabet<TAB><symbols>'", line=1)
         try:
-            value = float(text_value)
-        except ValueError:
-            raise MatrixFormatError(f"bad score {text_value!r}", line=lineno) from None
-        i, j = index[a], index[b]
-        if filled[i, j] and scores[i, j] != value:
-            raise MatrixFormatError(
-                f"conflicting scores for pair ({a}, {b}): "
-                f"{float(scores[i, j])!r} vs {value!r}",
-                line=lineno,
-            )
-        scores[i, j] = scores[j, i] = value
-        filled[i, j] = filled[j, i] = True
-    if not filled.all():
-        i, j = np.argwhere(~filled)[0]
-        raise MatrixFormatError(f"missing score for pair ({symbols[i]}, {symbols[j]})")
-    return Scorer(symbols, scores)
+            symbols = check_alphabet(head[1].split(" "))
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=1) from None
+        index = {s: i for i, s in enumerate(symbols)}
+        n = len(symbols)
+        scores = np.zeros((n, n), dtype=float)
+        filled = np.zeros((n, n), dtype=bool)
+        for lineno, (a, b, text_value) in read_rows(lines[1:], 3, start=2):
+            for symbol in (a, b):
+                if symbol not in index:
+                    raise ParseError(f"symbol {symbol!r} is not in the alphabet", line=lineno)
+            try:
+                value = float(text_value)
+            except ValueError:
+                raise ParseError(f"bad score {text_value!r}", line=lineno) from None
+            i, j = index[a], index[b]
+            if filled[i, j] and scores[i, j] != value:
+                raise ParseError(
+                    f"conflicting scores for pair ({a}, {b}): "
+                    f"{float(scores[i, j])!r} vs {value!r}",
+                    line=lineno,
+                )
+            scores[i, j] = scores[j, i] = value
+            filled[i, j] = filled[j, i] = True
+        if not filled.all():
+            i, j = np.argwhere(~filled)[0]
+            raise ParseError(f"missing score for pair ({symbols[i]}, {symbols[j]})")
+        return Scorer(symbols, scores)
 
 
 def save_pmi(table: Scorer, sink: str | os.PathLike | IO) -> None:

@@ -39,26 +39,31 @@ def read_text(source: str | os.PathLike | IO) -> str:
 
 
 def read_rows(
-    lines: Sequence[str], ncols: int, *, start: int = 1, error: type[ParseError] = ParseError
+    lines: Sequence[str], ncols: int, *, start: int = 1
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, fields)`` for each non-empty line, numbered from
-    ``start``; a line without exactly ``ncols`` tab-separated fields raises
-    ``error`` with its line number."""
+    ``start``; a line without exactly ``ncols`` tab-separated fields raises a
+    ``ParseError`` with its line number."""
     for lineno, line in enumerate(lines, start=start):
         if line:
             fields = line.split("\t")
             if len(fields) != ncols:
-                raise error(f"expected {ncols} columns, got {len(fields)}", line=lineno)
+                raise ParseError(f"expected {ncols} columns, got {len(fields)}", line=lineno)
             yield lineno, fields
 
 
 @contextmanager
-def in_file(path):
-    """A cogclust error raised in the block names ``path`` first."""
+def in_file(source):
+    """A cogclust error raised in the block starts with ``source``, if it is a path.
+
+    Readers check their settings before this block, so a setting's error
+    names no file. An open file's errors, and an ``OSError``, pass unchanged.
+    """
     try:
         yield
     except CogclustError as exc:
-        exc.args = (f"{path}: {exc}",)
+        if isinstance(source, (str, os.PathLike)):
+            exc.args = (f"{os.fspath(source)}: {exc}",)
         raise
 
 

@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 from .alphabet import ASJP_SOUNDS, MODIFIER_CHARS
 from .errors import MeaningNotFoundError, ParseError, ValidationError
-from .textio import read_rows, read_text
+from .textio import in_file, read_rows, read_text
 
 HEADER_COLUMNS = ("language", "concept", "transcription", "cognate_class")
 _REQUIRED_COLUMNS = ("language", "concept", "transcription")
@@ -118,42 +118,43 @@ def parse_wordlist(
     ``modifiers`` selects how transcription modifier characters are treated:
     ``"strip"`` drops them, ``"strict"`` reports them as alphabet violations.
     Any other character outside the ASJP alphabet is an error in both modes.
+    An error in the file starts with its path, if ``source`` is one;
+    ``modifiers`` is checked before the file is opened.
     """
     if modifiers not in ("strip", "strict"):
         raise ValidationError(f"unknown modifier policy {modifiers!r}")
-    lines = read_text(source).split("\n")
+    with in_file(source):
+        lines = read_text(source).split("\n")
 
-    header = lines[0].split("\t") if lines and lines[0] else []
-    positions: dict[str, int] = {}
-    for idx, name in enumerate(header):
-        if name in positions:
-            raise ParseError(f"duplicate column {name!r}", line=1)
-        if name not in HEADER_COLUMNS:
-            raise ParseError(f"unknown column {name!r}", line=1)
-        positions[name] = idx
-    for name in _REQUIRED_COLUMNS:
-        if name not in positions:
-            raise ParseError(f"missing column {name!r} in header", line=1)
+        header = lines[0].split("\t") if lines and lines[0] else []
+        positions: dict[str, int] = {}
+        for idx, name in enumerate(header):
+            if name in positions:
+                raise ParseError(f"duplicate column {name!r}", line=1)
+            if name not in HEADER_COLUMNS:
+                raise ParseError(f"unknown column {name!r}", line=1)
+            positions[name] = idx
+        for name in _REQUIRED_COLUMNS:
+            if name not in positions:
+                raise ParseError(f"missing column {name!r} in header", line=1)
 
-    gold_at = positions.get("cognate_class")
-    forms = []
-    for lineno, row in read_rows(lines[1:], len(header), start=2):
-        language = row[positions["language"]]
-        meaning = row[positions["concept"]]
-        word = row[positions["transcription"]]
-        if not language:
-            raise ValidationError("empty language identifier", line=lineno)
-        if not meaning:
-            raise ValidationError("empty concept identifier", line=lineno)
-        if modifiers == "strip":
-            word = word.translate(_STRIP_MODIFIERS)
-        if not word:
-            raise ValidationError("empty transcription", line=lineno)
-        if not _SYMBOLS.issuperset(word):
-            bad = next(ch for ch in word if ch not in _SYMBOLS)
-            raise ValidationError(
-                f"symbol {bad!r} is not in the alphabet", line=lineno
-            )
-        gold = row[gold_at] if gold_at is not None else ""
-        forms.append(WordForm(language, meaning, word, gold or None))
-    return WordList(forms)
+        gold_at = positions.get("cognate_class")
+        forms = []
+        for lineno, row in read_rows(lines[1:], len(header), start=2):
+            language = row[positions["language"]]
+            meaning = row[positions["concept"]]
+            word = row[positions["transcription"]]
+            if not language:
+                raise ValidationError("empty language identifier", line=lineno)
+            if not meaning:
+                raise ValidationError("empty concept identifier", line=lineno)
+            if modifiers == "strip":
+                word = word.translate(_STRIP_MODIFIERS)
+            if not word:
+                raise ValidationError("empty transcription", line=lineno)
+            if not _SYMBOLS.issuperset(word):
+                bad = next(ch for ch in word if ch not in _SYMBOLS)
+                raise ValidationError(f"symbol {bad!r} is not in the alphabet", line=lineno)
+            gold = row[gold_at] if gold_at is not None else ""
+            forms.append(WordForm(language, meaning, word, gold or None))
+        return WordList(forms)

@@ -99,16 +99,19 @@ class TestCluster:
         )
 
     def test_scorer_pmi_without_matrix_is_usage_error(self, sample_file):
-        with pytest.raises(SystemExit) as err:
-            main(["cluster", "--input", str(sample_file), "--scorer", "pmi"])
-        assert err.value.code == 2
+        for bad_setting in ([], ["--gap-open", "nan"]):  # usage comes before settings
+            with pytest.raises(SystemExit) as err:
+                main(["cluster", "--input", str(sample_file), "--scorer", "pmi", *bad_setting])
+            assert err.value.code == 2
 
     def test_vanilla_with_matrix_is_usage_error(self, tmp_path, sample_file):
         matrix = tmp_path / "m.tsv"
         matrix.write_text("alphabet\ta\na\ta\t1.0\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as err:
-            main(["cluster", "--input", str(sample_file), "--pmi-matrix", str(matrix)])
-        assert err.value.code == 2
+        for bad_setting in ([], ["--gap-open", "nan"]):
+            with pytest.raises(SystemExit) as err:
+                main(["cluster", "--input", str(sample_file), "--pmi-matrix", str(matrix),
+                      *bad_setting])
+            assert err.value.code == 2
 
     @pytest.mark.parametrize("subcommand", ["cluster", "evaluate"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -127,6 +130,21 @@ class TestCluster:
                                                          flags, message):
         assert main(["cluster", "--input", str(sample_file), *flags]) == 3
         assert capsys.readouterr() == ("", f"cogclust: validation error: {message}\n")
+
+    @pytest.mark.parametrize("subcommand", ["cluster", "evaluate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "0"], "alpha must be > 0"),
+        (["--max-scans", "0"], "max_scans must be at least 1"),
+        (["--shuffle-seed", "-1"], "shuffle_seed must be at least 0"),
+        (["--gap-open", "nan"], "gap penalties must be <= 0"),
+    ])
+    def test_bad_setting_is_reported_before_any_input_is_read(self, tmp_path, capsys,
+                                                               subcommand, flags, message):
+        missing = str(tmp_path / "missing.tsv")
+        for inputs in (["--input", missing], ["--input", missing, "--scorer", "pmi",
+                                              "--pmi-matrix", missing]):
+            assert main([subcommand, *inputs, *flags]) == 3
+            assert capsys.readouterr() == ("", f"cogclust: validation error: {message}\n")
 
     def test_matrix_without_scorer_pmi_is_usage_error_before_the_input_is_read(
             self, tmp_path, capsys):
@@ -476,15 +494,26 @@ class TestMeta:
             main(["--help"])
         assert err.value.code == 0
 
-    @pytest.mark.parametrize("stderr_on_pipe", [False, True], ids=["stderr-apart", "stderr-on-pipe"])
-    def test_reader_closed_early_exits_0_quietly(self, sample_file, stderr_on_pipe):
+    @pytest.mark.parametrize("args, stderr_on_pipe", [
+        (["cluster", "--input", "{sample}"], False),
+        (["cluster", "--input", "{sample}"], True),
+        # argparse prints these to sys.stdout, whose buffer is flushed at exit.
+        (["--help"], False),
+        (["--version"], False),
+        (["cluster", "--help"], False),
+    ], ids=["stderr-apart", "stderr-on-pipe", "help", "version", "cluster-help"])
+    def test_reader_closed_early_exits_0_quietly(self, sample_file, args, stderr_on_pipe):
         read_end, write_end = os.pipe()
         os.close(read_end)
+        # Buffered stdout, as in a plain shell: unbuffered, a failed write is
+        # seen at once, and the flush at exit has nothing left to fail on.
+        buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "cogclust", "cluster", "--input", str(sample_file)],
+                [sys.executable, "-m", "cogclust", *(a.format(sample=sample_file) for a in args)],
                 stdout=write_end,
                 stderr=write_end if stderr_on_pipe else subprocess.PIPE,
+                env=buffered,
                 timeout=60,
             )
         finally:

@@ -12,7 +12,7 @@ from cogclust import (
     ASJP_SOUNDS,
     DegenerateInputError,
     GapParams,
-    MatrixFormatError,
+    ParseError,
     Scorer,
     ValidationError,
     estimate_pmi,
@@ -35,13 +35,13 @@ class TestLoadPmi:
 
     def test_missing_pair(self):
         text = "alphabet\ta b\na\ta\t2.0\na\tb\t-1.0\n"
-        with pytest.raises(MatrixFormatError, match=r"\(b, b\)"):
+        with pytest.raises(ParseError, match=r"\(b, b\)"):
             load_pmi(io.StringIO(text))
 
     def test_conflicting_mirror_entries(self):
         # The earlier score prints as a Python float under every numpy.
         text = TWO_SYMBOL_FILE + "b\ta\t-0.5\n"
-        with pytest.raises(MatrixFormatError) as err:
+        with pytest.raises(ParseError) as err:
             load_pmi(io.StringIO(text))
         assert str(err.value) == "line 5: conflicting scores for pair (b, a): -1.0 vs -0.5"
 
@@ -51,27 +51,32 @@ class TestLoadPmi:
 
     def test_gap_rows_rejected(self):
         text = "alphabet\ta -\na\ta\t1.0\na\t-\t0.0\n-\t-\t0.0\n"
-        with pytest.raises(MatrixFormatError, match="gap"):
+        with pytest.raises(ParseError, match="gap"):
             load_pmi(io.StringIO(text))
 
     def test_unknown_symbol_in_pair(self):
         text = "alphabet\ta b\na\ta\t2.0\na\tz\t-1.0\nb\tb\t1.0\n"
-        with pytest.raises(MatrixFormatError, match="'z'"):
+        with pytest.raises(ParseError, match="'z'"):
             load_pmi(io.StringIO(text))
 
     def test_bad_header(self):
-        with pytest.raises(MatrixFormatError, match="alphabet"):
+        with pytest.raises(ParseError, match="alphabet"):
             load_pmi(io.StringIO("a b\n"))
 
-    def test_wrong_column_count_reports_line(self):
+    def test_wrong_column_count_reports_line(self, tmp_path):
         text = "alphabet\ta b\na\ta\t2.0\n\na\tb\n"
-        with pytest.raises(MatrixFormatError) as err:
+        with pytest.raises(ParseError) as err:
             load_pmi(io.StringIO(text))
         assert str(err.value) == "line 4: expected 3 columns, got 2"
+        path = tmp_path / "matrix.tsv"  # a path, unlike an open file, is named
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_pmi(path)
+        assert str(err.value) == f"{path}: line 4: expected 3 columns, got 2"
 
     def test_bad_score_value(self):
         text = "alphabet\ta\na\ta\tpotato\n"
-        with pytest.raises(MatrixFormatError, match="potato"):
+        with pytest.raises(ParseError, match="potato"):
             load_pmi(io.StringIO(text))
 
     def test_positive_infinity_rejected(self):
@@ -158,7 +163,7 @@ BAD_ALPHABETS = {
 
 class TestAlphabetRule:
     @pytest.mark.parametrize("case", sorted(BAD_ALPHABETS))
-    def test_rejected_by_scorer_and_by_estimate_before_any_pair(self, case):
+    def test_rejected_by_scorer_and_by_estimate_before_any_pair(self, tmp_path, case):
         alphabet, message = BAD_ALPHABETS[case]
         taken = []
 
@@ -170,6 +175,8 @@ class TestAlphabetRule:
         for build in (
             lambda: Scorer(alphabet, np.zeros((len(alphabet), len(alphabet)))),
             lambda: estimate_pmi(pairs(), 0.1, alphabet=alphabet),
+            # A setting's error names no file, and comes before the file is opened.
+            lambda: estimate_pmi(tmp_path / "missing.tsv", 0.1, alphabet=alphabet),
         ):
             with pytest.raises(ValidationError) as err:
                 build()
@@ -201,7 +208,7 @@ class TestAlphabetRule:
         for alphabet in rejected:
             with pytest.raises(ValidationError) as rule:
                 Scorer(alphabet, np.zeros((len(alphabet), len(alphabet))))
-            with pytest.raises(MatrixFormatError) as err:
+            with pytest.raises(ParseError) as err:
                 load_pmi(io.StringIO("alphabet\t" + " ".join(alphabet) + "\n"))
             assert err.value.line == 1
             if alphabet and set(alphabet).isdisjoint(" \t\r\n"):
@@ -319,10 +326,21 @@ class TestEstimatePmi:
         with pytest.raises(DegenerateInputError):
             estimate_pmi([("a-", "-a")], smoothing=0, alphabet=("a",))
 
-    def test_unequal_lengths_rejected(self):
+    def test_unequal_lengths_rejected(self, tmp_path):
         with pytest.raises(ValidationError) as err:
             estimate_pmi([("aa", "a")])
         assert str(err.value) == "aligned pair ('aa', 'a') has unequal lengths 2 and 1"
+        # Read from a file, the pair names its line, blank lines counted, and
+        # a path is named first.
+        path = tmp_path / "pairs.tsv"
+        path.write_text("ol\tal\n\naa\ta\n", encoding="utf-8")
+        for source, prefix in ((path, f"{path}: "), (str(path), f"{path}: "),
+                               (io.BytesIO(path.read_bytes()), "")):
+            with pytest.raises(ValidationError) as err:
+                estimate_pmi(source)
+            assert str(err.value) == (
+                f"{prefix}line 3: aligned pair ('aa', 'a') has unequal lengths 2 and 1"
+            )
 
     def test_gap_symbol_in_the_alphabet_rejected(self):
         # A table with a '-' row could be saved but never loaded back.
@@ -363,11 +381,27 @@ class TestEstimatePmi:
     def test_out_of_alphabet_segment_rejected(self):
         with pytest.raises(ValidationError, match="'z'"):
             estimate_pmi([("az", "aa")], alphabet=("a",))
+        with pytest.raises(ValidationError) as err:
+            estimate_pmi(io.StringIO("aa\taa\naz\taa\n"), alphabet=("a",))
+        assert str(err.value) == "line 2: segment 'z' is not in the alphabet"
 
-    def test_negative_smoothing_rejected(self):
+    def test_negative_smoothing_rejected(self, tmp_path):
         for smoothing in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="smoothing"):
                 estimate_pmi([("a", "a")], smoothing=smoothing, alphabet=("a",))
+            # Checked before the file is opened, and naming no file.
+            with pytest.raises(ValidationError) as err:
+                estimate_pmi(tmp_path / "missing.tsv", smoothing=smoothing)
+            assert str(err.value) == "smoothing must be finite and >= 0"
+
+    def test_a_file_of_pairs_gives_the_table_of_its_pairs(self, tmp_path):
+        pairs = [("ol", "al"), ("o-l", "oll"), ("ala", "ala")]
+        text = "\r\n".join("\t".join(pair) for pair in pairs) + "\n\n"
+        path = tmp_path / "pairs.tsv"
+        path.write_text(text, encoding="utf-8")
+        want = estimate_pmi(pairs, 0.2)
+        for source in (path, io.StringIO(text), io.BytesIO(path.read_bytes())):
+            assert estimate_pmi(source, 0.2) == want
 
     def test_estimated_matrix_drives_the_aligner(self):
         pairs = [("pk", "kp")] * 5 + [("ee", "oo")]

@@ -3,6 +3,7 @@ their line; paths are replaced atomically, open files are used as given."""
 
 import io
 import os
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +110,12 @@ def test_in_file_puts_the_path_before_a_cogclust_error_and_keeps_it_as_it_was():
         with in_file("in.tsv"):
             raise FileNotFoundError(2, "No such file or directory", "in.tsv")
     assert str(err.value) == "[Errno 2] No such file or directory: 'in.tsv'"
+    with pytest.raises(ParseError) as err:  # a path object reads as its path
+        with in_file(Path("dir") / "in.tsv"):
+            raise ParseError("bad row", line=3)
+    assert str(err.value) == f"{Path('dir') / 'in.tsv'}: line 3: bad row"
+    for source in (io.StringIO("x"), [("a", "a")]):  # an open file or pairs: no path
+        with pytest.raises(ParseError) as err:
+            with in_file(source):
+                raise ParseError("bad row", line=3)
+        assert str(err.value) == "line 3: bad row"

@@ -105,10 +105,16 @@ class TestParseErrors:
             parse(HEADER + "English\tALL\tol\tc1\nGerman\tALL\ta9\tc1\n")
         assert "line 3" in str(err.value)
 
-    def test_wrong_column_count_reports_line(self):
+    def test_wrong_column_count_reports_line(self, tmp_path):
+        text = HEADER + "English\tALL\tol\tc1\n\nEnglish\tALL\n"
         with pytest.raises(ParseError) as err:
-            parse(HEADER + "English\tALL\tol\tc1\n\nEnglish\tALL\n")
+            parse(text)
         assert str(err.value) == "line 4: expected 4 columns, got 2"
+        path = tmp_path / "words.tsv"  # a path, unlike an open file, is named
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_wordlist(path)
+        assert str(err.value) == f"{path}: line 4: expected 4 columns, got 2"
 
     def test_bytes_that_are_not_utf8_name_their_line(self):
         data = HEADER.replace("\n", "\r\n").encode("utf-8") + b"Engl\xffish\tALL\tol\tc1\n"
@@ -159,9 +165,13 @@ class TestModifiers:
         with pytest.raises(ValidationError, match="empty transcription"):
             parse(HEADER + "English\tALL\t~~\tc1\n")
 
-    def test_unknown_policy_rejected(self):
+    def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             parse(TABLE_SAMPLE, modifiers="ignore")
+        # Checked before the file is opened, and naming no file.
+        with pytest.raises(ValidationError) as err:
+            parse_wordlist(tmp_path / "missing.tsv", modifiers="ignore")
+        assert str(err.value) == "unknown modifier policy 'ignore'"
 
     def test_first_of_two_foreign_symbols_is_named(self):
         for modifiers in ("strip", "strict"):
