@@ -8,7 +8,8 @@ Subcommands::
     cogclust pmi-estimate  aligned segment pairs -> PMI matrix file
 
 A run checks its usage first, then its settings, then reads its input
-files, each through its library reader, which names the file in its errors.
+files, each through its library reader, which names the file in its errors;
+then cluster and evaluate open every output they write before any work.
 Exit codes: 0 success, 2 parse/usage errors, 3 validation errors, 4 I/O
 errors. Diagnostics go to stderr; data goes to files or stdout.
 """
@@ -17,6 +18,7 @@ import argparse
 import os
 import sys
 import urllib.parse
+from contextlib import ExitStack
 
 from . import __version__
 from .align import GapParams, Scorer, similarity_matrix
@@ -129,10 +131,6 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         scorer = Scorer.vanilla(gaps=gaps)
     wordlist = parse_wordlist(args.input)
-    # Read before clustering, so a bad gold file fails before the work starts.
-    gold_path = args.gold if args.subcommand == "evaluate" else None
-    gold_wordlist = parse_wordlist(gold_path) if gold_path else None
-
     if args.subcommand == "align":
         os.makedirs(args.out, exist_ok=True)
         for meaning in wordlist.meanings:
@@ -144,41 +142,32 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 table.to_tsv(fh)
         return 0
 
-    # --threshold and --jobs are checked by the clustering itself, when it starts.
-    partitions = cluster_wordlist(wordlist, scorer, crp_config, threshold=args.threshold,
-                                  normalize=args.normalize, jobs=args.jobs)
-
-    if args.subcommand == "cluster":
-        with open_sink(args.out or sys.stdout) as fh:
+    evaluating = args.subcommand == "evaluate"
+    # Read before clustering, so a bad gold file fails before the work starts.
+    gold_wordlist = parse_wordlist(args.gold) if evaluating and args.gold else None
+    gold = gold_partitions(wordlist, gold_wordlist) if evaluating else {}
+    # Every output is opened before the work, so one that cannot be opened fails
+    # first. A path is replaced only when the block ends without error.
+    sinks = [args.out or (None if evaluating else sys.stdout), None, None]
+    if gold and args.out:  # the partition, then the reports beside it
+        sinks[1:] = args.out + ".report.txt", args.out + ".report.tsv"
+    elif gold:  # no partition, and the text report to stdout
+        sinks[1] = sys.stdout
+    with ExitStack() as stack:
+        fh, text_fh, kv_fh = (sink and stack.enter_context(open_sink(sink)) for sink in sinks)
+        # --threshold and --jobs are checked by the clustering itself, when it starts.
+        partitions = cluster_wordlist(wordlist, scorer, crp_config, threshold=args.threshold,
+                                      normalize=args.normalize, jobs=args.jobs)
+        if fh is not None:
             write_partitions(wordlist, partitions, fh)
-        return 0
-
-    # evaluate
-    gold = gold_partitions(wordlist, gold_wordlist)
-    if not gold:
-        if args.out:
-            with open_sink(args.out) as fh:
-                write_partitions(wordlist, partitions, fh)
+        if gold:
+            report = evaluate_dataset(partitions, gold)
+            text_fh.write(render_report(report, percent=args.percent))
+            if kv_fh is not None:
+                kv_fh.write(render_report_kv(report, percent=args.percent))
+    if evaluating and not gold:
         print("cogclust: no gold cognate classes found; nothing to evaluate",
               file=sys.stderr)
-        return 0
-    report = evaluate_dataset(partitions, gold)
-    text = render_report(report, percent=args.percent)
-    if not args.out:
-        with open_sink(sys.stdout) as fh:
-            fh.write(text)
-        return 0
-    kv = render_report_kv(report, percent=args.percent)
-    # Each sink replaces its path only when the block ends without error, so
-    # a file that cannot be written leaves all three with their old bytes.
-    with (
-        open_sink(args.out) as fh,
-        open_sink(args.out + ".report.txt") as text_fh,
-        open_sink(args.out + ".report.tsv") as kv_fh,
-    ):
-        write_partitions(wordlist, partitions, fh)
-        text_fh.write(text)
-        kv_fh.write(kv)
     return 0
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, checked_int
+from .errors import DegenerateInputError, ValidationError, checked_int, checked_number
 
 _NEG_INF = float("-inf")
 LINKAGES = ("average", "single")
@@ -206,11 +206,9 @@ def flat_cluster_threshold(sim, threshold: float) -> Partition:
     remains. A cluster is named by its lowest word index; ties go to the pair
     of names (a, b), a < b, that comes first by a, then by b.
     """
+    threshold = checked_number("threshold", threshold)
     cross = _as_similarity_array(sim)  # cross[a, b]: a and b's summed similarity
     n = cross.shape[0]
-    threshold = float(threshold)
-    if np.isnan(threshold):
-        raise ValidationError("threshold must be a number, got nan")
     # A name no longer in use gets a -inf column in cross, and a -inf row and
     # column in averages, whose diagonal is -inf too. The diagonal of cross
     # holds no -inf, so no sum adds -inf to a +inf similarity.

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the rule for integer settings.
+"""Exception types shared across the package, and the rules for numeric settings.
 
 Every error is a ``ParseError`` (a source file could not be read as its
 format) or a ``ValidationError`` (the content or a setting breaks a rule).
 The command line exits 2 on the first and 3 on the second.
 """
 
+import math
 import operator
 
 
@@ -50,3 +51,12 @@ def checked_int(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValidationError(f"{name} must be at least {minimum}")
     return value
+
+
+def checked_number(name: str, value) -> float:
+    """``value`` as a ``float`` that is not NaN, or a ``ValidationError``."""
+    # A str has no __float__, though float() would parse one.
+    number = float(value) if hasattr(type(value), "__float__") else math.nan
+    if math.isnan(number):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return number

@@ -13,7 +13,7 @@ from typing import IO, Sequence
 
 from .align import Scorer, similarity_matrix
 from .crp import CrpConfig, Partition, crp_cluster, flat_cluster_threshold
-from .errors import MeaningNotFoundError, ValidationError, checked_int
+from .errors import MeaningNotFoundError, ValidationError, checked_int, checked_number
 from .wordlist import WordForm, WordList
 
 
@@ -73,13 +73,15 @@ def cluster_wordlist(
 ) -> dict[str, Partition]:
     """Cluster every meaning; returns partitions keyed in meaning order.
 
-    ``jobs`` is an upper bound on the worker processes; ``None`` means all
-    usable CPUs, and ``jobs`` must be an integer of at least 1 otherwise. The
-    pool is capped at the usable CPUs, the meanings and one worker per
-    ``_CELLS_PER_WORKER`` alignment cells, so a small run uses one process.
-    Partitions do not depend on the worker count.
+    ``jobs`` and ``threshold`` are checked when the call starts, even with no
+    meanings: ``jobs`` must be ``None`` (all usable CPUs) or an integer of at
+    least 1, an upper bound on the worker processes, and ``threshold`` a
+    number, not NaN. The pool is capped at the usable CPUs, the meanings and
+    one worker per ``_CELLS_PER_WORKER`` alignment cells, so a small run uses
+    one process. Partitions do not depend on the worker count.
     """
     jobs = None if jobs is None else checked_int("jobs", jobs, 1)
+    threshold = None if threshold is None else checked_number("threshold", threshold)
     work = partial(
         cluster_meaning, scorer=scorer, config=config,
         threshold=threshold, normalize=normalize,

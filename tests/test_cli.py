@@ -44,6 +44,15 @@ def sample_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def no_clustering(monkeypatch):
+    """A run that clusters the word list fails the test."""
+    def cluster_wordlist(*args, **kwargs):
+        raise AssertionError("the word list was clustered")
+
+    monkeypatch.setattr("cogclust.cli.cluster_wordlist", cluster_wordlist)
+
+
 class TestCluster:
     def test_partition_tsv_matches_reference_trace(self, tmp_path, sample_file):
         out = tmp_path / "parts.tsv"
@@ -82,11 +91,23 @@ class TestCluster:
     def test_missing_input_exits_4(self, tmp_path, capsys):
         assert main(["cluster", "--input", str(tmp_path / "nope.tsv")]) == 4
 
-    def test_output_in_missing_directory_exits_4_naming_it(self, tmp_path, sample_file, capsys):
+    def test_output_in_missing_directory_exits_4_naming_it(self, tmp_path, sample_file, capsys,
+                                                           no_clustering):
+        # The output is opened before the work, so nothing is clustered.
         out = tmp_path / "missing" / "parts.tsv"
-        assert main(["cluster", "--input", str(sample_file), "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert str(out) in err and ".tmp" not in err
+        for subcommand in ("cluster", "evaluate"):
+            assert main([subcommand, "--input", str(sample_file), "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert str(out) in err and ".tmp" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--threshold", "nan"]])
+    def test_output_is_opened_before_jobs_and_threshold_are_checked(self, tmp_path,
+                                                                     sample_file, capsys, flags):
+        out = tmp_path / "missing" / "parts.tsv"
+        assert main(["cluster", "--input", str(sample_file), "--out", str(out), *flags]) == 4
+        assert f"cogclust: i/o error: [Errno 2] No such file or directory: '{out}'" in (
+            capsys.readouterr().err)
 
     def test_pmi_matrix_missing_a_pair_names_its_file(self, tmp_path, sample_file, capsys):
         matrix = tmp_path / "m.tsv"
@@ -195,6 +216,19 @@ class TestCluster:
         assert "Traceback" not in err
         assert out.read_bytes() == b"old\n"
 
+    @pytest.mark.parametrize("subcommand", ["cluster", "evaluate"])
+    def test_nan_threshold_exits_3_on_a_list_with_no_meanings(self, tmp_path, capsys,
+                                                              subcommand):
+        header_only = tmp_path / "header.tsv"
+        header_only.write_text(SAMPLE.split("\n")[0] + "\n", encoding="utf-8")
+        out = tmp_path / "parts.tsv"
+        args = ["--input", str(header_only), "--out", str(out), "--threshold", "nan"]
+        assert main([subcommand, *args]) == 3
+        assert capsys.readouterr() == (
+            "", "cogclust: validation error: threshold must be a number, got nan\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["header.tsv"]
+
     def test_threshold_baseline_and_flags(self, tmp_path, sample_file):
         out = tmp_path / "parts.tsv"
         code = main([
@@ -275,7 +309,9 @@ class TestEvaluate:
         assert main(["evaluate", "--input", str(path), "--jobs", "1"]) == 0
         assert capsys.readouterr().out == report
 
-    def test_unwritable_report_leaves_every_output_as_it_was(self, tmp_path, sample_file, capsys):
+    def test_unwritable_report_leaves_every_output_as_it_was(self, tmp_path, sample_file, capsys,
+                                                             no_clustering):
+        # The reports are opened before the work, so nothing is clustered.
         (tmp_path / "target.txt").write_text("old report\n", encoding="utf-8")
         for name, report in (("parts.tsv", None), ("linked.tsv", "target.txt")):
             out = tmp_path / name
@@ -337,11 +373,7 @@ class TestEvaluate:
         ("no header\n", 2, "parse error: {gold}: line 1: unknown column 'no header'"),
     ], ids=["missing", "malformed"])
     def test_bad_gold_file_fails_before_clustering(self, tmp_path, sample_file, capsys,
-                                                   monkeypatch, gold_text, code, message):
-        def no_clustering(*args, **kwargs):
-            raise AssertionError("the word list was clustered")
-
-        monkeypatch.setattr("cogclust.cli.cluster_wordlist", no_clustering)
+                                                   no_clustering, gold_text, code, message):
         gold = tmp_path / "gold.tsv"
         if gold_text is not None:
             gold.write_text(gold_text, encoding="utf-8")

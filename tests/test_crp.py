@@ -397,5 +397,7 @@ class TestFlatThreshold:
 
     def test_nan_threshold_rejected(self):
         s = symmetric([(0, 1, 5.0)], 3)
-        with pytest.raises(ValidationError, match="threshold"):
-            flat_cluster_threshold(s, float("nan"))
+        for threshold in (float("nan"), np.float64("nan"), "abc", None, "1.5"):
+            with pytest.raises(ValidationError) as err:
+                flat_cluster_threshold(s, threshold)
+            assert str(err.value) == f"threshold must be a number, got {threshold!r}"

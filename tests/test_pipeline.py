@@ -210,6 +210,15 @@ class TestClusterWordlist:
             cluster_wordlist(sample_wordlist(), Scorer.vanilla(), jobs=jobs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("threshold, message", [
+        (float("nan"), "threshold must be a number, got nan"),
+        ("0.5", "threshold must be a number, got '0.5'"),
+    ])
+    def test_threshold_not_a_number_rejected_even_with_no_meanings(self, threshold, message):
+        with pytest.raises(ValidationError) as err:
+            cluster_wordlist(WordList([]), Scorer.vanilla(), threshold=threshold)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_under_start_method(self, monkeypatch, method):
         # Unlike fork, these start methods pickle the worker's bound job.
