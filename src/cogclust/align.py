@@ -27,7 +27,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .alphabet import ASJP_SOUNDS, check_alphabet
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, ValidationError, as_number
 from .wordlist import WordForm
 
 _NEG_INF = float("-inf")
@@ -47,7 +47,7 @@ class GapParams:
     gap_extend: float = -0.5
 
     def __post_init__(self):
-        if not (self.gap_open <= 0 and self.gap_extend <= 0):  # NaN fails too
+        if not (as_number(self.gap_open) <= 0 and as_number(self.gap_extend) <= 0):
             raise ValidationError("gap penalties must be <= 0")
         if abs(self.gap_extend) > abs(self.gap_open):
             raise ValidationError(
@@ -93,7 +93,7 @@ class Scorer:
                 gaps: GapParams | None = None,
                 alphabet: Sequence[str] = ASJP_SOUNDS) -> "Scorer":
         """Identity table: ``match`` on the diagonal, ``mismatch`` elsewhere."""
-        if not match > mismatch:
+        if not as_number(match) > as_number(mismatch):
             raise ValidationError("match score must exceed mismatch score")
         n = len(alphabet)
         return cls(alphabet, np.where(np.eye(n, dtype=bool), match, mismatch), gaps)

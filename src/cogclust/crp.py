@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, checked_int, checked_number
+from .errors import DegenerateInputError, ValidationError, as_number, checked_int, checked_number
 
 _NEG_INF = float("-inf")
 LINKAGES = ("average", "single")
@@ -83,7 +83,7 @@ class CrpConfig:
     shuffle_seed: int | None = None
 
     def __post_init__(self):
-        if not self.alpha > 0:
+        if not as_number(self.alpha) > 0:
             raise ValidationError("alpha must be > 0")
         object.__setattr__(self, "max_scans", checked_int("max_scans", self.max_scans, 1))
         if self.shuffle_seed is not None:

@@ -53,10 +53,15 @@ def checked_int(name: str, value, minimum: int) -> int:
     return value
 
 
+def as_number(value) -> float:
+    """``value`` as a ``float``, or NaN if not a number: a check that NaN fails rejects it too."""
+    # A str has no __float__, though float() would parse one.
+    return float(value) if hasattr(type(value), "__float__") else math.nan
+
+
 def checked_number(name: str, value) -> float:
     """``value`` as a ``float`` that is not NaN, or a ``ValidationError``."""
-    # A str has no __float__, though float() would parse one.
-    number = float(value) if hasattr(type(value), "__float__") else math.nan
+    number = as_number(value)
     if math.isnan(number):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return number

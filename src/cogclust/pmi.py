@@ -33,7 +33,7 @@ import numpy as np
 
 from .align import Scorer
 from .alphabet import ASJP_SOUNDS, GAP, check_alphabet
-from .errors import DegenerateInputError, ParseError, ValidationError
+from .errors import DegenerateInputError, ParseError, ValidationError, as_number
 from .textio import in_file, open_sink, read_rows, read_text
 
 DEFAULT_SMOOTHING = 0.1
@@ -58,7 +58,7 @@ def estimate_pmi(
     whose smoothed share underflows to 0. A bad ``smoothing`` or alphabet is
     reported before the file is opened or any pair is read.
     """
-    if not 0 <= smoothing < math.inf:  # NaN fails too
+    if not 0 <= as_number(smoothing) < math.inf:
         raise ValidationError("smoothing must be finite and >= 0")
     symbols = check_alphabet(alphabet)
     n = len(symbols)

@@ -41,7 +41,8 @@ class TestGapParams:
 
     def test_positive_penalty_rejected(self):
         nan = float("nan")
-        for gap_open, gap_extend in ((1.0, -0.5), (-1.0, 0.5), (nan, -0.5), (-1.0, nan)):
+        for gap_open, gap_extend in ((1.0, -0.5), (-1.0, 0.5), (nan, -0.5), (-1.0, nan),
+                                     ("a", -0.5), (None, -0.5), (-1.0, "-0.5")):
             with pytest.raises(ValidationError, match="gap penalties"):
                 GapParams(gap_open=gap_open, gap_extend=gap_extend)
 
@@ -55,10 +56,9 @@ class TestGapParams:
 
 class TestScorer:
     def test_vanilla_requires_match_above_mismatch(self):
-        with pytest.raises(ValidationError):
-            Scorer.vanilla(match=-1.0, mismatch=1.0)
-        with pytest.raises(ValidationError):
-            Scorer.vanilla(match=1.0, mismatch=1.0)
+        for match, mismatch in ((-1.0, 1.0), (1.0, 1.0), ("1", -1.0), (1.0, None)):
+            with pytest.raises(ValidationError, match="match score must exceed mismatch score"):
+                Scorer.vanilla(match=match, mismatch=mismatch)
 
     def test_substitution_lookup(self):
         s = vanilla()

@@ -82,6 +82,9 @@ class TestCrpConfig:
                     {"shuffle_seed": 1.5}, {"shuffle_seed": "1"}):
             with pytest.raises(ValidationError, match=f"{next(iter(bad))} must be an integer"):
                 CrpConfig(**bad)
+        for alpha in ("0.5", None):
+            with pytest.raises(ValidationError, match="alpha must be > 0"):
+                CrpConfig(alpha=alpha)
         CrpConfig(shuffle_seed=0)
         cfg = CrpConfig(max_scans=np.int64(2), shuffle_seed=np.uint8(7))
         assert (cfg.max_scans, cfg.shuffle_seed) == (2, 7)

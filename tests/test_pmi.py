@@ -386,7 +386,7 @@ class TestEstimatePmi:
         assert str(err.value) == "line 2: segment 'z' is not in the alphabet"
 
     def test_negative_smoothing_rejected(self, tmp_path):
-        for smoothing in (-0.1, float("nan"), float("inf")):
+        for smoothing in (-0.1, float("nan"), float("inf"), "0.1", None):
             with pytest.raises(ValidationError, match="smoothing"):
                 estimate_pmi([("a", "a")], smoothing=smoothing, alphabet=("a",))
             # Checked before the file is opened, and naming no file.
