@@ -194,32 +194,42 @@ def _gotoh_batch(codes, first, second, scorer: Scorer) -> np.ndarray:
         cand = np.empty((cols - 1, pairs))
         at = np.empty((cols - 1, pairs), dtype=np.intp)
         step = np.empty(pairs)
+        # The views the row pass reads, built once per chunk: of each h
+        # buffer its whole, its columns from 1, its columns but the last and
+        # its flat form; x and y from column 1; y's neighbouring columns.
+        here = (h, h[1:], h[:-1], h.ravel())
+        above = (h_above, h_above[1:], h_above[:-1], h_above.ravel())
+        x_rest, y_rest = x[1:], y[1:]
+        y_cols = list(y)
+        y_steps = list(zip(y_cols, y_cols[1:]))
 
-        def finish(i):
+        def finish(i, h_flat):
             block = slice(at_least[i + 1], at_least[i])
-            done[block] = h.ravel().take(cells[block])
+            done[block] = h_flat.take(cells[block])
 
         h.T[:] = edge[:cols]  # row 0: one gap run over the second word
-        finish(0)
-        for i in range(1, rows + 1):
-            h_above, h = h, h_above
+        finish(0, here[3])
+        for i, a_row in enumerate(a_rows, start=1):
+            above, here = here, above
+            h, h_rest, h_init, h_flat = here
+            _, above_rest, above_init, _ = above
             h[0] = edge[i]  # column 0: one gap run over the first word
             # m into h: the best cell above-left plus the substitution score.
-            np.add(b, a_rows[i - 1], out=at)
-            np.add(h_above[:-1], flat_scores.take(at, out=cand), out=h[1:])
+            np.add(b, a_row, out=at)
+            np.add(above_init, flat_scores.take(at, out=cand), out=h_rest)
             # x: extend its run from above, or open one from the cell above.
-            np.add(x[1:], gap_extend, out=x[1:])
-            np.add(h_above[1:], gap_open, out=cand)
-            np.maximum(x[1:], cand, out=x[1:])
-            np.maximum(h[1:], x[1:], out=h[1:])
+            np.add(x_rest, gap_extend, out=x_rest)
+            np.add(above_rest, gap_open, out=cand)
+            np.maximum(x_rest, cand, out=x_rest)
+            np.maximum(h_rest, x_rest, out=h_rest)
             # y: open from max(m, x) to the left; only the extension of its
             # own run needs the loop.
-            np.add(h[:-1], gap_open, out=y[1:])
-            for j in range(1, cols):
-                np.add(y[j - 1], gap_extend, out=step)
-                np.maximum(y[j], step, out=y[j])
-            np.maximum(h[1:], y[1:], out=h[1:])
-            finish(i)
+            np.add(h_init, gap_open, out=y_rest)
+            for left, cell in y_steps:
+                np.add(left, gap_extend, out=step)
+                np.maximum(cell, step, out=cell)
+            np.maximum(h_rest, y_rest, out=h_rest)
+            finish(i, h_flat)
     out += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
     return out
 

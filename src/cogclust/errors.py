@@ -55,8 +55,14 @@ def checked_int(name: str, value, minimum: int) -> int:
 
 def as_number(value) -> float:
     """``value`` as a ``float``, or NaN if not a number: a check that NaN fails rejects it too."""
-    # A str has no __float__, though float() would parse one.
-    return float(value) if hasattr(type(value), "__float__") else math.nan
+    # A str has no __float__, though float() would parse one; an array with
+    # more than one element has one, but float() raises TypeError on it.
+    if not hasattr(type(value), "__float__"):
+        return math.nan
+    try:
+        return float(value)
+    except TypeError:
+        return math.nan
 
 
 def checked_number(name: str, value) -> float:

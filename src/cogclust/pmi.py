@@ -34,7 +34,7 @@ import numpy as np
 from .align import Scorer
 from .alphabet import ASJP_SOUNDS, GAP, check_alphabet
 from .errors import DegenerateInputError, ParseError, ValidationError, as_number
-from .textio import in_file, open_sink, read_rows, read_text
+from .textio import first_line, in_file, open_sink, read_rows, read_text
 
 DEFAULT_SMOOTHING = 0.1
 
@@ -80,7 +80,7 @@ def estimate_pmi(
 
     with in_file(aligned_pairs):
         if isinstance(aligned_pairs, (str, os.PathLike)) or hasattr(aligned_pairs, "read"):
-            numbered = read_rows(read_text(aligned_pairs).split("\n"), 2)
+            numbered = read_rows(read_text(aligned_pairs), 2)
         else:  # pairs given as such have no line to name
             numbered = zip(repeat(None), aligned_pairs)
         counts = np.bincount(np.fromiter(columns(numbered), dtype=np.intp), minlength=m * m)
@@ -111,8 +111,8 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
     its path, if ``source`` is one.
     """
     with in_file(source):
-        lines = read_text(source).split("\n")
-        head = lines[0].split("\t") if lines and lines[0] else []
+        text = read_text(source)
+        head = first_line(text).split("\t")
         if len(head) != 2 or head[0] != "alphabet":
             raise ParseError("first line must be 'alphabet<TAB><symbols>'", line=1)
         try:
@@ -123,7 +123,7 @@ def load_pmi(source: str | os.PathLike | IO) -> Scorer:
         n = len(symbols)
         scores = np.zeros((n, n), dtype=float)
         filled = np.zeros((n, n), dtype=bool)
-        for lineno, (a, b, text_value) in read_rows(lines[1:], 3, start=2):
+        for lineno, (a, b, text_value) in read_rows(text, 3, start=2):
             for symbol in (a, b):
                 if symbol not in index:
                     raise ParseError(f"symbol {symbol!r} is not in the alphabet", line=lineno)

@@ -1,17 +1,24 @@
 """UTF-8 text sources and sinks shared by the file readers and writers.
 
 This module owns the rules every text input shares: how its bytes are decoded
-(``read_text``), how a line becomes a row of fields (``read_rows``) and how an
-error names its file (``in_file``).
+(``read_text``), how an error names its file (``in_file``) and the one line
+rule. ``read_rows`` reads the rows of decoded text: only ``\\n`` ends a line,
+blank lines count in line numbers, and a line becomes a row of tab-separated
+fields. ``first_line`` reads a header by the same rule.
 """
 
 import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
-from typing import IO, Iterator, Sequence
+from itertools import chain, islice
+from typing import IO, Iterator
 
 from .errors import CogclustError, ParseError
+
+# Characters split into lines at a time by read_rows: large enough that the
+# split runs in C, small enough that its list of lines stays small.
+_BLOCK_CHARS = 1 << 16
 
 
 def read_text(source: str | os.PathLike | IO) -> str:
@@ -38,18 +45,39 @@ def read_text(source: str | os.PathLike | IO) -> str:
     return data.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
 
 
-def read_rows(
-    lines: Sequence[str], ncols: int, *, start: int = 1
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, fields)`` for each non-empty line, numbered from
-    ``start``; a line without exactly ``ncols`` tab-separated fields raises a
-    ``ParseError`` with its line number."""
-    for lineno, line in enumerate(lines, start=start):
+def first_line(text: str) -> str:
+    """Line 1 of ``text``, without its line end."""
+    end = text.find("\n")
+    return text if end < 0 else text[:end]
+
+
+def read_rows(text: str, ncols: int, *, start: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-empty line of ``text`` from
+    line ``start`` on; a line without exactly ``ncols`` tab-separated fields
+    raises a ``ParseError`` with its line number.
+
+    Only ``\\n`` ends a line, and blank lines count in line numbers. The text
+    is split a block of lines at a time, so no list of every line is built.
+    """
+    lines = chain.from_iterable(block.split("\n") for block in _blocks(text))
+    for lineno, line in enumerate(islice(lines, start - 1, None), start=start):
         if line:
             fields = line.split("\t")
             if len(fields) != ncols:
                 raise ParseError(f"expected {ncols} columns, got {len(fields)}", line=lineno)
             yield lineno, fields
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """``text`` in pieces of about ``_BLOCK_CHARS`` that each end before a
+    ``\\n``, that ``\\n`` left out, so that their lines are the text's lines."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
 
 
 @contextmanager

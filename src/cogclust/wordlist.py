@@ -11,11 +11,12 @@ Transcriptions are checked against the ASJP alphabet.
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable
 
 from .alphabet import ASJP_SOUNDS, MODIFIER_CHARS
 from .errors import MeaningNotFoundError, ParseError, ValidationError
-from .textio import in_file, read_rows, read_text
+from .textio import first_line, in_file, read_rows, read_text
 
 HEADER_COLUMNS = ("language", "concept", "transcription", "cognate_class")
 _REQUIRED_COLUMNS = ("language", "concept", "transcription")
@@ -23,7 +24,7 @@ _SYMBOLS = frozenset(ASJP_SOUNDS)
 _STRIP_MODIFIERS = dict.fromkeys(map(ord, MODIFIER_CHARS))  # a str.translate table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordForm:
     """One transcribed word: a language saying a meaning.
 
@@ -51,8 +52,9 @@ class WordList:
     gold cognate class or none does.
 
     Iteration order everywhere is the order in which forms were first seen,
-    which is the file order for parsed lists. Instances are safe to share
-    across worker processes.
+    which is the file order for parsed lists. A parsed list keeps one string
+    per distinct field value, shared by every form that holds it. Instances
+    are safe to share across worker processes.
     """
 
     def __init__(self, forms: Iterable[WordForm]):
@@ -119,14 +121,16 @@ def parse_wordlist(
     ``"strip"`` drops them, ``"strict"`` reports them as alphabet violations.
     Any other character outside the ASJP alphabet is an error in both modes.
     An error in the file starts with its path, if ``source`` is one;
-    ``modifiers`` is checked before the file is opened.
+    ``modifiers`` is checked before the file is opened. Equal languages,
+    concepts, transcriptions and cognate classes are one ``str`` object in
+    the list, however many forms hold them.
     """
     if modifiers not in ("strip", "strict"):
         raise ValidationError(f"unknown modifier policy {modifiers!r}")
     with in_file(source):
-        lines = read_text(source).split("\n")
-
-        header = lines[0].split("\t") if lines and lines[0] else []
+        text = read_text(source)
+        head = first_line(text)
+        header = head.split("\t") if head else []
         positions: dict[str, int] = {}
         for idx, name in enumerate(header):
             if name in positions:
@@ -138,23 +142,32 @@ def parse_wordlist(
             if name not in positions:
                 raise ParseError(f"missing column {name!r} in header", line=1)
 
+        pick = itemgetter(*(positions[name] for name in _REQUIRED_COLUMNS))
         gold_at = positions.get("cognate_class")
+        strip = modifiers == "strip"
+        # One str per distinct value: share(s, s) is the first str equal to s.
+        share = {}.setdefault
+        # Each distinct transcription field is checked once. Its key is the
+        # shared field, so the dict keeps no copy of its own.
+        checked = {}
         forms = []
-        for lineno, row in read_rows(lines[1:], len(header), start=2):
-            language = row[positions["language"]]
-            meaning = row[positions["concept"]]
-            word = row[positions["transcription"]]
+        for lineno, row in read_rows(text, len(header), start=2):
+            language, meaning, word = pick(row)
             if not language:
                 raise ValidationError("empty language identifier", line=lineno)
             if not meaning:
                 raise ValidationError("empty concept identifier", line=lineno)
-            if modifiers == "strip":
-                word = word.translate(_STRIP_MODIFIERS)
-            if not word:
-                raise ValidationError("empty transcription", line=lineno)
-            if not _SYMBOLS.issuperset(word):
-                bad = next(ch for ch in word if ch not in _SYMBOLS)
-                raise ValidationError(f"symbol {bad!r} is not in the alphabet", line=lineno)
+            word = share(word, word)
+            segments = checked.get(word)
+            if segments is None:
+                segments = word.translate(_STRIP_MODIFIERS) if strip else word
+                if not segments:
+                    raise ValidationError("empty transcription", line=lineno)
+                if not _SYMBOLS.issuperset(segments):
+                    bad = next(ch for ch in segments if ch not in _SYMBOLS)
+                    raise ValidationError(f"symbol {bad!r} is not in the alphabet", line=lineno)
+                checked[word] = segments = share(segments, segments)
             gold = row[gold_at] if gold_at is not None else ""
-            forms.append(WordForm(language, meaning, word, gold or None))
+            forms.append(WordForm(share(language, language), share(meaning, meaning),
+                                  segments, share(gold, gold) if gold else None))
         return WordList(forms)

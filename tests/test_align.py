@@ -42,7 +42,8 @@ class TestGapParams:
     def test_positive_penalty_rejected(self):
         nan = float("nan")
         for gap_open, gap_extend in ((1.0, -0.5), (-1.0, 0.5), (nan, -0.5), (-1.0, nan),
-                                     ("a", -0.5), (None, -0.5), (-1.0, "-0.5")):
+                                     ("a", -0.5), (None, -0.5), (-1.0, "-0.5"),
+                                     (np.array([-1.0, -2.0]), -0.5)):
             with pytest.raises(ValidationError, match="gap penalties"):
                 GapParams(gap_open=gap_open, gap_extend=gap_extend)
 

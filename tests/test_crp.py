@@ -82,7 +82,7 @@ class TestCrpConfig:
                     {"shuffle_seed": 1.5}, {"shuffle_seed": "1"}):
             with pytest.raises(ValidationError, match=f"{next(iter(bad))} must be an integer"):
                 CrpConfig(**bad)
-        for alpha in ("0.5", None):
+        for alpha in ("0.5", None, np.array([0.5, 0.6])):
             with pytest.raises(ValidationError, match="alpha must be > 0"):
                 CrpConfig(alpha=alpha)
         CrpConfig(shuffle_seed=0)
@@ -400,7 +400,8 @@ class TestFlatThreshold:
 
     def test_nan_threshold_rejected(self):
         s = symmetric([(0, 1, 5.0)], 3)
-        for threshold in (float("nan"), np.float64("nan"), "abc", None, "1.5"):
+        for threshold in (float("nan"), np.float64("nan"), "abc", None, "1.5",
+                          np.array([0.5, 0.6])):
             with pytest.raises(ValidationError) as err:
                 flat_cluster_threshold(s, threshold)
             assert str(err.value) == f"threshold must be a number, got {threshold!r}"

@@ -330,17 +330,18 @@ class TestEstimatePmi:
         with pytest.raises(ValidationError) as err:
             estimate_pmi([("aa", "a")])
         assert str(err.value) == "aligned pair ('aa', 'a') has unequal lengths 2 and 1"
-        # Read from a file, the pair names its line, blank lines counted, and
-        # a path is named first.
+        # Read from a file, the pair names its line, blank lines counted
+        # whatever their line ends, and a path is named first.
         path = tmp_path / "pairs.tsv"
-        path.write_text("ol\tal\n\naa\ta\n", encoding="utf-8")
-        for source, prefix in ((path, f"{path}: "), (str(path), f"{path}: "),
-                               (io.BytesIO(path.read_bytes()), "")):
-            with pytest.raises(ValidationError) as err:
-                estimate_pmi(source)
-            assert str(err.value) == (
-                f"{prefix}line 3: aligned pair ('aa', 'a') has unequal lengths 2 and 1"
-            )
+        for data, line in ((b"ol\tal\n\naa\ta\n", 3), (b"ol\tal\r\n\r\n\r\naa\ta\r\n", 4)):
+            path.write_bytes(data)
+            for source, prefix in ((path, f"{path}: "), (str(path), f"{path}: "),
+                                   (io.BytesIO(data), "")):
+                with pytest.raises(ValidationError) as err:
+                    estimate_pmi(source)
+                assert str(err.value) == (
+                    f"{prefix}line {line}: aligned pair ('aa', 'a') has unequal lengths 2 and 1"
+                )
 
     def test_gap_symbol_in_the_alphabet_rejected(self):
         # A table with a '-' row could be saved but never loaded back.

@@ -1,6 +1,7 @@
 """Word list parsing and validation tests."""
 
 import io
+import pickle
 import random
 
 import pytest
@@ -97,6 +98,36 @@ class TestParsing:
         assert parse_wordlist(path) == want
         assert parse_wordlist(io.BytesIO(data)) == want
         assert parse_wordlist(io.StringIO(text)) == want
+
+    def test_only_newline_ends_a_line(self):
+        # str.splitlines() would end a line at each of these too.
+        others = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        for ch in [*others, others]:
+            wl = parse(HEADER + f"Eng{ch}lish\tA{ch}LL\tol\tc1\nGerman\tALL\tal3\tc1\n")
+            assert [(f.language, f.meaning) for f in wl] == [
+                (f"Eng{ch}lish", f"A{ch}LL"), ("German", "ALL")
+            ]
+
+    def test_long_list_keeps_every_row_and_line_number(self):
+        # Far more text than one block of lines, blank lines in between.
+        rows = [f"L{i}\tM{i % 7}\tol\t\n" + "\n" * (i % 3) for i in range(6000)]
+        text = HEADER + "".join(rows)
+        wl = parse(text)
+        assert [f.language for f in wl] == [f"L{i}" for i in range(6000)]
+        bad_line = text.count("\n") + 1
+        with pytest.raises(ParseError, match=f"^line {bad_line}: expected 4 columns, got 1$"):
+            parse(text + "stray")
+
+    def test_equal_values_share_one_string_and_the_list_pickles(self):
+        wl = parse(TABLE_SAMPLE + "English\tBIG\tol\tc1\nGerman\tBIG\to*l\tc1\n")
+        assert wl.forms[-1].segments == "ol"
+        first = {}
+        for form in wl:
+            for value in (form.language, form.meaning, form.segments, form.gold_class):
+                assert first.setdefault(value, value) is value
+        assert not hasattr(wl.forms[0], "__dict__")
+        # A spawn pool sends the list to its workers as a pickle.
+        assert pickle.loads(pickle.dumps(wl)) == wl
 
 
 class TestParseErrors:
