@@ -5,24 +5,22 @@ word is pulled out of its cluster, its linkage (average or maximum
 similarity) to every remaining cluster is computed, and it either joins the
 best cluster or opens a new one when even the best linkage falls below
 ``alpha``. Scanning stops at the first full pass with no membership change,
-or after ``max_scans`` passes.
+or after ``max_scans`` passes. Shuffled orders come from numpy's ``Generator``.
+
+The scan's state is one cluster label per word. Average linkage also keeps
+each label's size and sums each cluster's similarities in word-index order,
+one rounding per addition, so partitions do not depend on the Python
+version. A new cluster takes the label above the highest in use; a scan
+starts with labels below the word count n and opens at most n, so labels
+stay below 2n, and a scan that ends with a label at n or above renumbers the
+labels in use in order, which moves no tie. Single linkage joins the lowest
+label among a word's nearest neighbours (the words at its row maximum) when
+that maximum reaches ``alpha``. It opens no label and renumbers nothing: a
+word whose row maximum is below ``alpha`` is, the matrix being symmetric, no
+word's nearest neighbour, so it keeps its own label.
 
 A conventional agglomerative average-linkage baseline with a stopping
 threshold is provided for comparison.
-
-The scan's state is one cluster label per word plus each label's running
-size, updated only when a word moves. Its average linkage sums each cluster's
-similarities in word-index order, one rounding per addition, so partitions do
-not depend on the Python version. Single linkage needs no sums: the matrix is
-fixed, so a word's best clusters are those of its nearest neighbours (the
-words at its row maximum), and it joins the lowest of their labels when that
-maximum reaches ``alpha``. A new cluster takes the label one above the
-highest in use. A scan starts with labels below the word count n and opens
-at most n clusters, so labels stay below 2n: a scan that ends with a label
-at n or above renumbers the labels in use in order, which moves no tie. A
-``shuffle_seed`` scan order still comes from numpy's ``Generator`` stream.
-
-The baseline keeps one cluster label per word as its whole membership state.
 """
 
 import operator
@@ -124,58 +122,55 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     np.fill_diagonal(sims, 0.0)
     averaging = cfg.linkage == "average"
     alpha = cfg.alpha
-    if not averaging:
-        # The matrix never changes, so a word's single linkage is highest at
-        # the labels of the words at its row maximum: its nearest neighbours,
-        # or none when that maximum is below alpha.
-        top = sims.max(axis=1)
-        hit_rows, hit_cols = np.nonzero((sims == top[:, None]) & (top >= alpha)[:, None])
-        nearest: list[list[int]] = [[] for _ in range(n)]
-        for w, j in zip(hit_rows.tolist(), hit_cols.tolist()):
-            nearest[w].append(j)
-    labels = np.arange(n)  # the whole cluster state: one label per word
-    lab = labels.tolist()  # the same labels, read without numpy scalars
-    # Members per label and max(size, 1) as divisors, updated when a word
-    # moves. Each scan starts with labels below n and opens at most n more.
-    sizes = [1] * n + [0] * n
-    divisors = np.ones(2 * n)
+    lab = list(range(n))  # the whole cluster state: one label per word
+    if averaging:
+        rows = list(sims)  # each word's row, as a view
+        labels = np.arange(n)  # the same labels, as bincount reads them
+        # Members per label and max(size, 1) as divisors; labels stay below 2n.
+        sizes = [1] * n + [0] * n
+        divisors = np.ones(2 * n)
+        bincount = np.bincount
+    else:
+        hits = (sims == sims.max(axis=1, keepdims=True)) & (sims >= alpha)
+        cols = np.nonzero(hits)[1].tolist()  # row by row, ascending
+        bounds = [0, *np.cumsum(hits.sum(axis=1)).tolist()]
+        visits = [(w, cols[bounds[w] : bounds[w + 1]]) for w in order if bounds[w] < bounds[w + 1]]
+        label_of = lab.__getitem__
     history: list[int] = []
     for _ in range(cfg.max_scans):
         changes = 0
-        for w in order:
-            old = lab[w]
-            if averaging:
-                shared = sizes[old] > 1
-                if shared:
-                    divisors[old] = sizes[old] - 1  # the word is out of its cluster
+        if not averaging:
+            # A word joins the lowest label among its nearest neighbours, the
+            # words at its row maximum if that reaches alpha. A word with none
+            # is, by symmetry, no word's neighbour: it keeps its own label.
+            for w, peers in visits:
+                new = min(map(label_of, peers))  # ties: lowest label
+                if new != lab[w]:
+                    lab[w] = new
+                    changes += 1  # peers change exactly when the label does
+        else:
+            for w in order:
+                old = lab[w]
+                size = sizes[old]
+                divisors[old] = size - 1 or 1  # the word is out of its cluster
                 # bincount adds each label's weights in word-index order. An
                 # empty label scores 0, and alpha > 0, so it never wins.
-                linkage = np.bincount(labels, weights=sims[w])
+                linkage = bincount(labels, weights=rows[w])
                 linkage /= divisors[: len(linkage)]
-                if shared:
-                    divisors[old] = sizes[old]
-                best = int(linkage.argmax())  # the first maximum: lowest label
-                join = linkage.item(best) >= alpha
-            else:
-                peers = nearest[w]
-                join = bool(peers)
-                if join:
-                    best = min([lab[j] for j in peers])  # ties: lowest label
-            if join:
-                new = best
-            elif sizes[old] == 1:
-                # Re-use the label of a just-emptied singleton so that a
-                # zero-change scan leaves the label state untouched.
-                new = old
-            else:
-                new = max(lab) + 1  # one above the highest label in use
-            if new != old:
-                sizes[old] -= 1
-                sizes[new] += 1
-                divisors[old] = max(sizes[old], 1)
-                divisors[new] = sizes[new]
-                lab[w] = labels[w] = new
-                changes += 1  # peers change exactly when the label does
+                divisors[old] = size
+                new = int(linkage.argmax())  # the first maximum: lowest label
+                if linkage.item(new) < alpha:
+                    # A just-emptied singleton keeps its label, so that a
+                    # zero-change scan leaves the label state untouched; any
+                    # other word opens the label above the highest in use.
+                    new = old if size == 1 else max(lab) + 1
+                if new != old:
+                    sizes[old] -= 1
+                    sizes[new] += 1
+                    divisors[old] = sizes[old] or 1
+                    divisors[new] = sizes[new]
+                    lab[w] = labels[w] = new
+                    changes += 1
         history.append(changes)
         if changes == 0:
             break
@@ -194,8 +189,7 @@ def crp_cluster(sim, config: CrpConfig | None = None) -> Partition:
     Ties at the best linkage go to the lowest cluster label. Relabelling at
     the end is dense, by first appearance in word-index order.
     """
-    partition, _ = crp_cluster_with_history(sim, config)
-    return partition
+    return crp_cluster_with_history(sim, config)[0]
 
 
 def flat_cluster_threshold(sim, threshold: float) -> Partition:
@@ -214,20 +208,25 @@ def flat_cluster_threshold(sim, threshold: float) -> Partition:
     # holds no -inf, so no sum adds -inf to a +inf similarity.
     averages = cross.copy()
     np.fill_diagonal(averages, _NEG_INF)
+    flat = averages.ravel()  # a view: the same cells in row-major order
     sizes = np.ones(n)
-    labels = np.arange(n)  # each word's cluster name
+    row = np.empty(n)  # a's size products, then its averages
+    parent = list(range(n))  # the name each merged-away name went into
     for _ in range(n - 1):
-        flat = int(np.argmax(averages))  # the first maximum in row-major order
-        if averages.flat[flat] < threshold:
+        cell = int(flat.argmax())  # the first maximum in row-major order
+        if flat.item(cell) < threshold:
             break
-        a, b = divmod(flat, n)
+        a, b = divmod(cell, n)  # a < b, as averages is symmetric
         cross[a] += cross[b]
         cross[:, a] = cross[a]
         cross[:, b] = _NEG_INF
-        sizes[a] += sizes[b]
+        sizes[a] = size = sizes.item(a) + sizes.item(b)
         # Only a's averages change; each is the same sum over the same
         # product of sizes as a full recomputation would give.
-        averages[a] = averages[:, a] = cross[a] / (sizes[a] * sizes)
+        np.divide(cross[a], np.multiply(sizes, size, out=row), out=row)
+        averages[a] = averages[:, a] = row
         averages[b] = averages[:, b] = averages[a, a] = _NEG_INF
-        labels[labels == b] = a
-    return Partition.from_labels(labels.tolist())
+        parent[b] = a
+    for i in range(n):  # a name merges only into a lower one, resolved first
+        parent[i] = parent[parent[i]]
+    return Partition.from_labels(parent)

@@ -51,17 +51,18 @@ def bcubed(predicted: Partition, gold: Partition) -> BcubedScore:
             f"partitions cover different item sets: {predicted.n} vs {gold.n} items"
         )
     n = predicted.n
+    k = gold.k
     pred_size = [0] * predicted.k
-    gold_size = [0] * gold.k
-    overlap: dict[tuple[int, int], int] = {}
+    gold_size = [0] * k
+    overlap = [0] * (len(pred_size) * k)  # items per (cluster c, class l) at c * k + l
     for c, l in zip(predicted.labels, gold.labels):
         pred_size[c] += 1
         gold_size[l] += 1
-        overlap[c, l] = overlap.get((c, l), 0) + 1
+        overlap[c * k + l] += 1
     precision_total = 0.0
     recall_total = 0.0
     for c, l in zip(predicted.labels, gold.labels):
-        shared = overlap[c, l]
+        shared = overlap[c * k + l]
         precision_total += shared / pred_size[c]
         recall_total += shared / gold_size[l]
     precision = precision_total / n

@@ -57,9 +57,10 @@ def bcubed_brute(pred_labels, gold_labels):
     return precision, recall, f_score
 
 
-def crp_reference(matrix, alpha=0.01, max_scans=3, linkage="average"):
+def crp_reference(matrix, alpha=0.01, max_scans=3, linkage="average", order=None):
     """Plain re-implementation of the clustering scan over a nested-list matrix.
 
+    Words are visited in ``order`` (default: file order) in every scan.
     Returns labels renumbered densely by first appearance, as a list.
     """
     n = len(matrix)
@@ -67,7 +68,7 @@ def crp_reference(matrix, alpha=0.01, max_scans=3, linkage="average"):
     next_id = n
     for _ in range(max_scans):
         changes = 0
-        for w in range(n):
+        for w in range(n) if order is None else order:
             mine = assign[w]
             peers_before = frozenset(j for j in range(n) if j != w and assign[j] == mine)
             assign[w] = None

@@ -8,15 +8,21 @@ import numpy as np
 import pytest
 
 from cogclust import (
+    CrpConfig,
     GapParams,
     Scorer,
     ValidationError,
     DegenerateInputError,
     WordForm,
     cluster_wordlist,
+    crp_cluster_with_history,
     estimate_pmi,
+    evaluate_dataset,
+    flat_cluster_threshold,
+    gold_partitions,
     nw_score,
     parse_wordlist,
+    render_report_kv,
     similarity_matrix,
     write_partitions,
 )
@@ -513,3 +519,38 @@ class TestPlantedBytes:
             similarity_matrix(forms, scorer).to_tsv(buf)
         write_partitions(wordlist, cluster_wordlist(wordlist, scorer, jobs=1), buf)
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+class TestPlantedSweepBytes:
+    def test_sweep_histories_baseline_and_reports_of_planted_list_are_pinned(self, monkeypatch):
+        # Every label, history and report bit of an alpha sweep: a change in
+        # the order of the scan's, the baseline's or B-cubed's float
+        # operations, or in how a tie or a new label is chosen, changes the text.
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from plant import Shape, planted_wordlist
+
+        planted = planted_wordlist(5, Shape(meanings=8, languages=60, proto_len=(3, 9), classes=(1, 8)))
+        wordlist = parse_wordlist(io.StringIO(planted.wordlist_tsv()))
+        scorer = estimate_pmi(planted.pairs, 0.1)
+        sims = {m: similarity_matrix(wordlist.forms_for_meaning(m), scorer) for m in wordlist.meanings}
+        gold = gold_partitions(wordlist)
+        alphas = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
+        settings = [
+            CrpConfig(alpha=a, linkage=linkage, shuffle_seed=order)
+            for a in alphas for linkage in ("average", "single") for order in (None, 5)
+        ]
+        buf = io.StringIO()
+        for setting in [*settings, *alphas]:
+            parts = {}
+            for m, s in sims.items():
+                if isinstance(setting, CrpConfig):
+                    parts[m], history = crp_cluster_with_history(s, setting)
+                    buf.write(f"{setting}\t{m}\t{parts[m].labels}\t{history}\n")
+                else:
+                    parts[m] = flat_cluster_threshold(s, setting)
+                    buf.write(f"flat {setting}\t{m}\t{parts[m].labels}\n")
+            report = evaluate_dataset(parts, gold)
+            buf.write(f"{render_report_kv(report)}{report!r}\n")  # the repr has every bit
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
+            "21ae1c205f8910ff3413af4f284d84f0c33b002f19ed1b59c7c46c987b167c37"
+        )

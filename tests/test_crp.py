@@ -226,6 +226,47 @@ class TestCrpAgainstReference:
         assert history == [4] + [2] * 999
         assert len(lengths) == 5 * 1000 and max(lengths) < 2 * 5
 
+    def test_single_linkage_opens_no_label(self, monkeypatch):
+        # A word whose row is zero or below alpha is, the matrix being
+        # symmetric, no word's nearest neighbour, so it keeps its own label;
+        # the other words only take labels of their neighbours. So no label
+        # reaches n, and the scan never renumbers.
+        raw = []
+        from_labels = Partition.from_labels.__func__
+
+        def recording_from_labels(cls, labels):
+            raw.append(list(labels))
+            return from_labels(cls, labels)
+
+        monkeypatch.setattr(Partition, "from_labels", classmethod(recording_from_labels))
+        rng = np.random.default_rng(47)
+        for case in range(40):
+            n = int(rng.integers(2, 30))
+            alpha = float(rng.choice([1.0, 1.5, 2.0]))
+            values = rng.integers(0, 4, size=(n, n)).astype(float)
+            s = np.triu(values) + np.triu(values, 1).T
+            quiet = rng.random(n) < 0.3
+            s[quiet] = 0.0
+            s[:, quiet] = 0.0
+            if case % 2:  # rows entirely below alpha rather than zero
+                below = rng.uniform(0.0, alpha, size=(n, n))
+                below = np.triu(below) + np.triu(below, 1).T
+                s[quiet] = below[quiet]
+                s[:, quiet] = below[:, quiet]
+            quiet_words = np.flatnonzero(s.max(axis=1) < alpha).tolist()
+            for seed in (None, case):
+                order = None if seed is None else np.random.default_rng(seed).permutation(n).tolist()
+                for max_scans in (1, 3, 50):
+                    config = CrpConfig(alpha=alpha, max_scans=max_scans, linkage="single",
+                                       shuffle_seed=seed)
+                    part, _ = crp_cluster_with_history(s, config)
+                    assert list(part.labels) == crp_reference(
+                        s.tolist(), alpha=alpha, max_scans=max_scans, linkage="single", order=order
+                    )
+                    labels = raw[-1]
+                    assert max(labels) < n
+                    assert all(labels[w] == w and labels.count(w) == 1 for w in quiet_words)
+
 
 class TestCrpProperties:
     def test_always_a_valid_partition(self):

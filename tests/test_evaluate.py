@@ -68,6 +68,27 @@ class TestBcubedProperties:
             assert abs(score.recall - r) < 1e-12
             assert abs(score.f_score - f) < 1e-12
 
+    def test_matches_brute_force_where_clusters_times_classes_is_large(self):
+        # bcubed counts overlaps at cluster * gold.k + class: these pairs take
+        # that index up to predicted.k * gold.k, n * n at most, and most have
+        # unequal counts of clusters and classes.
+        n = 120
+        rng = np.random.default_rng(83)
+        singletons = Partition(tuple(range(n)))
+        one = Partition((0,) * n)
+        pairs = [
+            (singletons, one),
+            (one, singletons),
+            (singletons, Partition(tuple(rng.permutation(n).tolist()))),
+        ]
+        pairs += [(random_partition(rng, n), random_partition(rng, n)) for _ in range(100)]
+        for pred, gold in pairs:
+            score = bcubed(pred, gold)
+            p, r, f = bcubed_brute(pred.labels, gold.labels)
+            assert abs(score.precision - p) < 1e-12
+            assert abs(score.recall - r) < 1e-12
+            assert abs(score.f_score - f) < 1e-12
+
     def test_perfect_score_iff_identical_clustering(self):
         rng = np.random.default_rng(79)
         for _ in range(200):
