@@ -244,24 +244,48 @@ def nw_score(a: Sequence[str], b: Sequence[str], scorer: Scorer) -> float:
     return float(_gotoh_batch([scorer._encode(a), scorer._encode(b)], [0], [1], scorer)[0])
 
 
+def similarity_values(sim) -> np.ndarray:
+    """A writable float64 copy of a similarity matrix's values, checked unless ``sim``
+    is a SimilarityMatrix, which was checked when it was made by the same rules."""
+    if isinstance(sim, SimilarityMatrix):
+        return sim.values.copy()
+    arr = np.array(getattr(sim, "values", sim), dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"similarity matrix must be square, got shape {arr.shape}")
+    if not np.array_equal(arr, arr.T):
+        raise ValidationError("similarity matrix must be symmetric")
+    if not (arr >= 0).all():
+        raise ValidationError("similarity matrix must be non-negative")
+    if arr.shape[0] == 0:
+        raise DegenerateInputError("empty similarity matrix")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
     """Symmetric non-negative word-similarity matrix for one meaning.
 
-    ``values[i, j]`` is the clamped alignment score of ``forms[i]`` and
-    ``forms[j]``; the diagonal holds clamped self-alignment scores.
+    ``values[i, j]`` is the clamped alignment score of ``forms[i]`` and ``forms[j]``;
+    the diagonal holds clamped self-alignment scores. The matrix is checked once, when
+    it is made, with one form per row, and ``values`` is its own read-only copy.
     """
 
     values: np.ndarray
     forms: tuple
 
+    def __post_init__(self):
+        values = similarity_values(self.values)
+        if len(self.forms) != len(values):
+            raise ValidationError(f"{len(self.forms)} forms for a matrix of {len(values)} rows")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
     def to_tsv(self, sink: IO) -> None:
         """Debug dump with word transcriptions as row and column headers."""
         words = [f.segments for f in self.forms]
         sink.write("\t" + "\t".join(words) + "\n")
-        for i, word in enumerate(words):
-            cells = "\t".join(repr(float(v)) for v in self.values[i])
-            sink.write(f"{word}\t{cells}\n")
+        for word, row in zip(words, self.values.tolist()):
+            sink.write(f"{word}\t" + "\t".join(map(repr, row)) + "\n")
 
 
 def similarity_matrix(
@@ -306,6 +330,4 @@ def similarity_matrix(
                     f"self-similarity {s!r}"
                 )
         raw = raw / ((self_raw[:, None] + self_raw[None, :]) / 2.0)
-    values = np.where(raw > 0, raw, 0.0)  # every non-positive score gives +0.0
-    values.setflags(write=False)
-    return SimilarityMatrix(values=values, forms=tuple(forms))
+    return SimilarityMatrix(np.where(raw > 0, raw, 0.0), tuple(forms))  # a score <= 0 gives +0.0

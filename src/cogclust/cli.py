@@ -126,10 +126,8 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.subcommand != "align":
         crp_config = CrpConfig(alpha=args.alpha, max_scans=args.max_scans,
                                linkage=args.linkage, shuffle_seed=args.shuffle_seed)
-    if args.pmi_matrix:
-        scorer = Scorer.from_pmi(load_pmi(args.pmi_matrix), gaps)
-    else:
-        scorer = Scorer.vanilla(gaps=gaps)
+    pmi = load_pmi(args.pmi_matrix) if args.pmi_matrix else None
+    scorer = Scorer.vanilla(gaps=gaps) if pmi is None else Scorer.from_pmi(pmi, gaps)
     wordlist = parse_wordlist(args.input)
     if args.subcommand == "align":
         os.makedirs(args.out, exist_ok=True)

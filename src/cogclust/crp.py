@@ -24,21 +24,22 @@ threshold is provided for comparison.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError, as_number, checked_int, checked_number
+from .align import _NEG_INF, similarity_values
+from .errors import ValidationError, as_number, checked_int, checked_number
 
-_NEG_INF = float("-inf")
 LINKAGES = ("average", "single")
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of item indices to dense cluster labels 0..K-1."""
+    """Assignment of item indices to dense cluster labels 0..k-1."""
 
     labels: tuple[int, ...]
+    k: int = field(init=False, repr=False, compare=False)  # the number of clusters
 
     def __post_init__(self):
         if not self.labels:
@@ -48,9 +49,9 @@ class Partition:
         except TypeError:
             raise ValidationError("cluster labels must be integers") from None
         object.__setattr__(self, "labels", labels)
-        k = max(labels) + 1
-        if min(labels) < 0 or len(set(labels)) != k:
-            raise ValidationError(f"labels are not contiguous 0..{k - 1}: {labels}")
+        object.__setattr__(self, "k", max(labels) + 1)
+        if min(labels) < 0 or len(set(labels)) != self.k:
+            raise ValidationError(f"labels are not contiguous 0..{self.k - 1}: {labels}")
 
     @classmethod
     def from_labels(cls, raw_labels) -> "Partition":
@@ -61,10 +62,6 @@ class Partition:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def k(self) -> int:
-        return max(self.labels) + 1
 
 
 @dataclass(frozen=True)
@@ -91,20 +88,6 @@ class CrpConfig:
             raise ValidationError(f"unknown linkage {self.linkage!r}")
 
 
-def _as_similarity_array(sim) -> np.ndarray:
-    values = getattr(sim, "values", sim)
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"similarity matrix must be square, got shape {arr.shape}")
-    if not np.array_equal(arr, arr.T):
-        raise ValidationError("similarity matrix must be symmetric")
-    if not (arr >= 0).all():
-        raise ValidationError("similarity matrix must be non-negative")
-    if arr.shape[0] == 0:
-        raise DegenerateInputError("empty similarity matrix")
-    return arr
-
-
 def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Partition, list[int]]:
     """Like :func:`crp_cluster` but also returns membership changes per scan.
 
@@ -112,7 +95,7 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
     convergence (a word re-forming its own singleton counts as no change).
     """
     cfg = config or CrpConfig()
-    sims = _as_similarity_array(sim)
+    sims = similarity_values(sim)
     n = sims.shape[0]
     seed = cfg.shuffle_seed
     order = range(n) if seed is None else np.random.default_rng(seed).permutation(n).tolist()
@@ -184,7 +167,7 @@ def crp_cluster_with_history(sim, config: CrpConfig | None = None) -> tuple[Part
 
 
 def crp_cluster(sim, config: CrpConfig | None = None) -> Partition:
-    """Cluster one meaning's words; ``sim`` is a SimilarityMatrix or array.
+    """Cluster one meaning's words from a SimilarityMatrix, or an array checked on every call.
 
     Ties at the best linkage go to the lowest cluster label. Relabelling at
     the end is dense, by first appearance in word-index order.
@@ -201,7 +184,7 @@ def flat_cluster_threshold(sim, threshold: float) -> Partition:
     of names (a, b), a < b, that comes first by a, then by b.
     """
     threshold = checked_number("threshold", threshold)
-    cross = _as_similarity_array(sim)  # cross[a, b]: a and b's summed similarity
+    cross = similarity_values(sim)  # cross[a, b]: a and b's summed similarity
     n = cross.shape[0]
     # A name no longer in use gets a -inf column in cross, and a -inf row and
     # column in averages, whose diagonal is -inf too. The diagonal of cross

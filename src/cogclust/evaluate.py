@@ -132,16 +132,13 @@ def evaluate_dataset(
         per_meaning[meaning] = MeaningEval(bcubed(pred, true), pred.k, true.k)
     if not per_meaning:
         raise ValidationError("no meanings to evaluate")
-    count = len(per_meaning)
+    count, evals = len(per_meaning), per_meaning.values()
     aggregate = BcubedScore(
-        _total(e.score.precision for e in per_meaning.values()) / count,
-        _total(e.score.recall for e in per_meaning.values()) / count,
-        _total(e.score.f_score for e in per_meaning.values()) / count,
+        _total(e.score.precision for e in evals) / count,
+        _total(e.score.recall for e in evals) / count,
+        _total(e.score.f_score for e in evals) / count,
     )
-    correlation = pearson(
-        [e.predicted_k for e in per_meaning.values()],
-        [e.true_k for e in per_meaning.values()],
-    )
+    correlation = pearson([e.predicted_k for e in evals], [e.true_k for e in evals])
     metadata = {
         "meanings_without_gold": len(predictions) - count,
         "synonym_policy": SYNONYM_POLICY,

@@ -11,10 +11,12 @@ from cogclust import (
     CrpConfig,
     GapParams,
     Scorer,
+    SimilarityMatrix,
     ValidationError,
     DegenerateInputError,
     WordForm,
     cluster_wordlist,
+    crp_cluster,
     crp_cluster_with_history,
     estimate_pmi,
     evaluate_dataset,
@@ -266,6 +268,46 @@ class TestSimilarityMatrix:
             cells = line.split("\t")
             assert cells[0] == forms[i].segments
             assert [float(c) for c in cells[1:]] == list(sm.values[i])
+
+
+class TestSimilarityMatrixContract:
+    """A SimilarityMatrix is checked once, when it is made, by the rules an
+    array passed to the clustering is checked by on every call."""
+
+    @staticmethod
+    def forms(n):
+        return tuple(WordForm(f"L{i}", "M", "a") for i in range(n))
+
+    @pytest.mark.parametrize("values, error, message", [
+        (np.zeros((2, 3)), ValidationError, "similarity matrix must be square, got shape (2, 3)"),
+        (np.zeros((0, 0)), DegenerateInputError, "empty similarity matrix"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), ValidationError, "similarity matrix must be symmetric"),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), ValidationError,
+         "similarity matrix must be non-negative"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValidationError, "similarity matrix must be symmetric"),
+    ], ids=["non-square", "empty", "asymmetric", "negative", "nan"])
+    def test_a_bad_matrix_raises_when_made_as_the_clustering_does(self, values, error, message):
+        with pytest.raises(ValidationError) as from_scan:
+            crp_cluster(values)
+        with pytest.raises(ValidationError) as made:
+            SimilarityMatrix(values, self.forms(len(values)))
+        for raised in (from_scan.value, made.value):
+            assert type(raised) is error
+            assert str(raised) == message
+
+    def test_one_form_per_row(self):
+        with pytest.raises(ValidationError, match="^2 forms for a matrix of 3 rows$"):
+            SimilarityMatrix(np.zeros((3, 3)), self.forms(2))
+
+    def test_values_are_its_own_read_only_float64_copy(self):
+        source = np.array([[2, 1], [1, 2]])
+        sm = SimilarityMatrix(source, self.forms(2))
+        assert sm.values.dtype == np.float64
+        assert not sm.values.flags.writeable
+        with pytest.raises(ValueError):
+            sm.values[0, 1] = 5.0
+        source[0, 1] = source[1, 0] = 7
+        assert sm.values.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
 
 def scalar_gotoh(a, b, scorer):
@@ -554,3 +596,30 @@ class TestPlantedSweepBytes:
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
             "21ae1c205f8910ff3413af4f284d84f0c33b002f19ed1b59c7c46c987b167c37"
         )
+
+    def test_a_similarity_matrix_and_its_values_as_an_array_cluster_alike(self, monkeypatch):
+        # A SimilarityMatrix skips the check that an array gets on every call;
+        # both paths work on a copy of the same values, so they give the same
+        # partitions, and neither changes the matrix it was given.
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from plant import Shape, planted_wordlist
+
+        planted = planted_wordlist(5, Shape(meanings=8, languages=60, proto_len=(3, 9), classes=(1, 8)))
+        wordlist = parse_wordlist(io.StringIO(planted.wordlist_tsv()))
+        scorer = estimate_pmi(planted.pairs, 0.1)
+        settings = [
+            CrpConfig(alpha=a, linkage=linkage, shuffle_seed=order)
+            for a in (0.01, 2.0) for linkage in ("average", "single") for order in (None, 5)
+        ]
+        for m in wordlist.meanings:
+            sm = similarity_matrix(wordlist.forms_for_meaning(m), scorer)
+            before = sm.values.copy()
+            for setting in settings:
+                assert crp_cluster_with_history(sm, setting) == crp_cluster_with_history(
+                    sm.values, setting
+                ), (m, setting)
+            for threshold in (0.01, 2.0):
+                assert flat_cluster_threshold(sm, threshold) == flat_cluster_threshold(
+                    sm.values, threshold
+                ), (m, threshold)
+            assert np.array_equal(sm.values, before)

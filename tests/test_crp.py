@@ -2,6 +2,7 @@
 
 import builtins
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -64,6 +65,23 @@ class TestPartition:
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValidationError):
             Partition((0.0, 1.0))
+
+    def test_k_is_counted_when_made_and_left_out_of_repr_eq_and_hash(self):
+        made = [Partition((0,)), Partition((0, 1, 0, 2)), Partition.from_labels("xyxzy"),
+                Partition.from_labels([7, 7, 7])]
+        for p in made:
+            assert p.k == max(p.labels) + 1
+        assert repr(Partition((0, 1, 0))) == "Partition(labels=(0, 1, 0))"
+        same, other_k = Partition((0, 1, 0)), Partition((0, 1, 0))
+        object.__setattr__(other_k, "k", 5)
+        assert same == other_k
+        assert hash(same) == hash(other_k)
+
+    def test_k_survives_pickle(self):
+        # A process pool returns partitions by pickle, which skips __post_init__.
+        restored = pickle.loads(pickle.dumps(Partition((0, 1, 1, 2))))
+        assert restored == Partition((0, 1, 1, 2))
+        assert vars(restored)["k"] == 3
 
 
 class TestCrpConfig:

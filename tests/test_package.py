@@ -4,10 +4,13 @@ sets the BLAS thread default."""
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import cogclust
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_python(code: str, **env) -> str:
@@ -34,6 +37,22 @@ def test_a_library_import_leaves_the_environment_alone():
     code = ("import os, cogclust, cogclust.cli, cogclust.pipeline; "
             "cogclust.cluster_wordlist; print(os.environ.get('OPENBLAS_NUM_THREADS'))")
     assert run_python(code) == "None\n"
+
+
+def test_a_serial_cluster_run_leaves_the_process_pool_unimported(tmp_path):
+    # pipeline imports concurrent.futures, and with it multiprocessing, only
+    # when a pool starts: a small list clusters in one process without them.
+    out = tmp_path / "parts.tsv"
+    argv = ["cogclust", "cluster", "--input", str(ROOT / "demos" / "data" / "germanic_romance.tsv"),
+            "--out", str(out)]
+    code = (
+        f"import runpy, sys\nsys.argv = {argv!r}\n"
+        "try:\n    runpy.run_module('cogclust', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n    assert stop.code == 0, stop.code\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    assert run_python(code) == "[]\n"
+    assert out.read_text(encoding="utf-8").startswith("meaning\tlanguage\t")
 
 
 def test_every_public_name_resolves():
